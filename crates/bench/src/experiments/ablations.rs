@@ -17,7 +17,6 @@ use mvasd_queueing::network::{ClosedNetwork, Station};
 use mvasd_testbed::apps::jpetstore;
 
 use super::Ctx;
-use crate::measure;
 use crate::output::write_text;
 
 /// Interpolation-family ablation: fit each interpolant on a *different*
@@ -30,7 +29,7 @@ pub fn interpolation(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let reference = ctx.jpetstore();
     let (a, b) = jpetstore::CHEBYSHEV_RANGE;
     let fit_levels = design_levels(SamplingStrategy::Chebyshev, 4, a, b).expect("design");
-    let fit = measure(&jpetstore::model(), &fit_levels);
+    let fit = ctx.campaign(&jpetstore::model(), &fit_levels);
     let samples = fit.to_demand_samples();
 
     let kinds: [(&str, InterpolationKind); 5] = [
@@ -159,7 +158,7 @@ pub fn sampling(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         String::from("Ablation — sample placement (5 load tests, JPetStore, MVASD)\n");
     for (name, strat) in strategies {
         let levels = design_levels(strat, 5, a, b).expect("design");
-        let c = measure(&app, &levels);
+        let c = ctx.campaign(&app, &levels);
         let profile = ServiceDemandProfile::from_samples(
             &c.to_demand_samples(),
             InterpolationKind::CubicNotAKnot,
@@ -194,7 +193,7 @@ pub fn curvefit(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let (a, b) = jpetstore::CHEBYSHEV_RANGE;
     let app = jpetstore::model();
     let fit_levels = design_levels(SamplingStrategy::Chebyshev, 5, a, b).expect("design");
-    let fit = measure(&app, &fit_levels);
+    let fit = ctx.campaign(&app, &fit_levels);
 
     // MVASD path.
     let profile = ServiceDemandProfile::from_samples(
@@ -268,7 +267,7 @@ pub fn demandfit(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let reference = ctx.jpetstore();
     // The paper's Fig. 12 "bad case": only {1, 14, 28} equispaced-ish
     // samples, all far below the knee.
-    let sparse = measure(&jpetstore::model(), &[1, 14, 28]);
+    let sparse = ctx.campaign(&jpetstore::model(), &[1, 14, 28]);
     let samples = sparse.to_demand_samples();
 
     let spline_profile = ServiceDemandProfile::from_samples(
@@ -357,7 +356,7 @@ pub fn robustness(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
                 slope: 0.015,
                 max_factor: 2.0,
             });
-    let contended = measure(&app, &jpetstore::STANDARD_LEVELS);
+    let contended = ctx.campaign(&app, &jpetstore::STANDARD_LEVELS);
     let profile = ServiceDemandProfile::from_samples(
         &contended.to_demand_samples(),
         InterpolationKind::CubicNotAKnot,

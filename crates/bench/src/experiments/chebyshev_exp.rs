@@ -14,7 +14,6 @@ use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Extrapolation, Inte
 use mvasd_testbed::apps::jpetstore;
 
 use super::Ctx;
-use crate::measure;
 use crate::output::{write_text, Table};
 
 /// Fig. 13 — Chebyshev interpolation error bound (eq. 19) for `e^{µx}` on
@@ -42,14 +41,14 @@ pub fn fig13(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Runs JPetStore campaigns at the Chebyshev 3/5/7 design points of
-/// Section 8 and returns `(levels, campaign)` triples.
-fn chebyshev_campaigns() -> Vec<(usize, Vec<u64>, mvasd_testbed::campaign::Campaign)> {
+/// Section 8 and returns `(k, levels, campaign)` triples.
+fn chebyshev_campaigns(ctx: &Ctx) -> Vec<(usize, Vec<u64>, mvasd_testbed::campaign::Campaign)> {
     let (a, b) = jpetstore::CHEBYSHEV_RANGE;
     [3usize, 5, 7]
         .into_iter()
         .map(|k| {
             let levels = design_levels(SamplingStrategy::Chebyshev, k, a, b).expect("design");
-            let campaign = measure(&jpetstore::model(), &levels);
+            let campaign = ctx.campaign(&jpetstore::model(), &levels);
             (k, levels, campaign)
         })
         .collect()
@@ -57,8 +56,8 @@ fn chebyshev_campaigns() -> Vec<(usize, Vec<u64>, mvasd_testbed::campaign::Campa
 
 /// Fig. 14 — spline-interpolated db-disk demands from the Chebyshev 3/5/7
 /// sample sets (no Runge oscillation).
-pub fn fig14(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let campaigns = chebyshev_campaigns();
+pub fn fig14(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
+    let campaigns = chebyshev_campaigns(ctx);
     let mut t = Table::new(vec!["n", "cheb3", "cheb5", "cheb7"]);
     let mut splines = Vec::new();
     for (_, _, c) in &campaigns {
@@ -84,7 +83,7 @@ pub fn fig14(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 15 — Chebyshev vs random sample placement: interpolated db-disk
 /// demand curves and their worst deviation from the ground-truth curve.
-pub fn fig15(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub fn fig15(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let app = jpetstore::model();
     let (a, b) = jpetstore::CHEBYSHEV_RANGE;
     let k = 7;
@@ -108,7 +107,7 @@ pub fn fig15(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut t = Table::new(vec!["n", "truth", "chebyshev", "random", "equispaced"]);
     let mut splines = Vec::new();
     for (_, levels) in &strategies {
-        let c = measure(&app, levels);
+        let c = ctx.campaign(&app, levels);
         let idx = c.station_index("db-disk").expect("db-disk");
         let lv: Vec<f64> = c.levels().iter().map(|&l| l as f64).collect();
         splines.push(
@@ -148,7 +147,7 @@ pub fn fig15(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// measurements at the paper's standard levels.
 pub fn fig16(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let reference = ctx.jpetstore();
-    let campaigns = chebyshev_campaigns();
+    let campaigns = chebyshev_campaigns(ctx);
 
     let mut t = Table::new(vec!["n", "x_cheb3", "x_cheb5", "x_cheb7"]);
     let mut sols = Vec::new();

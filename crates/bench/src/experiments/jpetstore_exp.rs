@@ -26,7 +26,7 @@ const MVA_I_LEVELS: [usize; 4] = [28, 70, 140, 210];
 
 /// Table 3 — JPetStore utilization percentages.
 pub fn table3(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let table = c.utilization_table();
     let mut csv = Table::new(
         std::iter::once("users".to_string())
@@ -52,7 +52,7 @@ pub fn table3(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 7 — MVASD vs MVA·{28,70,140,210} vs measured.
 pub fn fig7(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let mut sols: Vec<(String, MvaSolution)> = vec![("mvasd".into(), mvasd_from(c, N_MAX))];
     for &i in &MVA_I_LEVELS {
         sols.push((format!("mva{i}"), mva_i(c, i, N_MAX)));
@@ -106,7 +106,7 @@ pub fn fig7(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 8 — multi-server MVASD vs the single-server-normalized variant.
 pub fn fig8(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let profile = ServiceDemandProfile::from_samples(
         &c.to_demand_samples(),
         InterpolationKind::CubicNotAKnot,
@@ -140,7 +140,7 @@ pub fn fig8(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 9 — DB-server utilization predicted by MVASD vs measured.
 pub fn fig9(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let sd = mvasd_from(c, N_MAX);
     let cpu = c.station_index("db-cpu").expect("db-cpu");
     let disk = c.station_index("db-disk").expect("db-disk");
@@ -170,7 +170,7 @@ pub fn fig9(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 /// Table 5 — mean deviation in modeling JPetStore, including the
 /// single-server-normalized MVASD baseline.
 pub fn table5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let levels = c.levels();
     let mx = c.throughputs();
     let mc = c.cycle_times();
@@ -216,7 +216,7 @@ pub fn table5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 /// resulting MVASD prediction accuracy (the paper reports 6.68 % / 6.9 %,
 /// worse than the concurrency-indexed 1–2 %).
 pub fn fig11(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let samples = c.to_demand_samples_by_throughput();
     let cpu = c.station_index("db-cpu").expect("db-cpu");
     let disk = c.station_index("db-disk").expect("db-disk");
@@ -275,7 +275,7 @@ pub fn fig11(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 /// Fig. 12 — spline quality with 3 / 5 / 7 demand samples
 /// ({1,14,28} ⊂ {…,70,140} ⊂ {…,168,210}).
 pub fn fig12(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.jpetstore();
+    let c = &ctx.jpetstore();
     let samples = c.to_demand_samples();
     let disk = c.station_index("db-disk").expect("db-disk");
 

@@ -121,7 +121,7 @@ fn write_prediction_tables(
 
 /// Table 2 — VINS utilization percentages per station and level.
 pub fn table2(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let table = c.utilization_table();
     let mut csv = Table::new(
         std::iter::once("users".to_string())
@@ -147,7 +147,7 @@ pub fn table2(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 4 — MVA·i predictions vs measurements (no MVASD yet).
 pub fn fig4(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let sols: Vec<(String, MvaSolution)> = MVA_I_LEVELS
         .iter()
         .map(|&i| (format!("mva{i}"), mva_i(c, i, N_MAX)))
@@ -158,7 +158,7 @@ pub fn fig4(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 5 — measured service demands of the database server vs concurrency.
 pub fn fig5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let mut t = Table::new(vec!["n", "db_cpu", "db_disk", "db_net_tx", "db_net_rx"]);
     let idx: Vec<usize> = ["db-cpu", "db-disk", "db-net-tx", "db-net-rx"]
         .iter()
@@ -187,7 +187,7 @@ pub fn fig5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 6 — MVASD vs MVA·i vs measured.
 pub fn fig6(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let sd = mvasd_from(c, N_MAX);
     let mut sols: Vec<(String, MvaSolution)> = vec![("mvasd".to_string(), sd)];
     for &i in &MVA_I_LEVELS {
@@ -215,7 +215,7 @@ pub(crate) fn deviation_reports(c: &Campaign, mva_i_levels: &[usize]) -> Vec<Dev
 
 /// Table 4 — mean deviation in modeling VINS.
 pub fn table4(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let reports = deviation_reports(c, &MVA_I_LEVELS);
     let rendered = render_table(
         "Table 4 — Mean Deviation in Modeling the VINS application",
@@ -233,7 +233,7 @@ pub fn table4(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Fig. 10 — spline-interpolated demand curves for the VINS DB server.
 pub fn fig10(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
-    let c = ctx.vins();
+    let c = &ctx.vins();
     let levels: Vec<f64> = c.levels().iter().map(|&l| l as f64).collect();
     let mut t = Table::new(vec!["n", "db_cpu_spline", "db_disk_spline"]);
     let splines: Vec<CubicSpline> = ["db-cpu", "db-disk"]

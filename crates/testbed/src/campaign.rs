@@ -53,6 +53,18 @@ pub struct Campaign {
 }
 
 impl Campaign {
+    /// Assembles the campaign of `app` from points measured on it, given
+    /// ascending by `users`.
+    pub fn from_points(app: &AppModel, points: Vec<MeasuredPoint>) -> Self {
+        Self {
+            app_name: app.name.clone(),
+            stations: app.station_names(),
+            server_counts: app.server_counts(),
+            think_time: app.think_time,
+            points,
+        }
+    }
+
     /// The tested concurrency levels.
     pub fn levels(&self) -> Vec<u64> {
         self.points.iter().map(|p| p.users as u64).collect()
@@ -281,13 +293,7 @@ where
         });
     }
 
-    Ok(Campaign {
-        app_name: app.name.clone(),
-        stations: app.station_names(),
-        server_counts,
-        think_time: app.think_time,
-        points,
-    })
+    Ok(Campaign::from_points(app, points))
 }
 
 #[cfg(test)]
