@@ -4,7 +4,7 @@
 
 use mvasd_bench::timing::{Bench, Plan};
 use mvasd_queueing::mva::{
-    multiserver_mva, ClosedSolver, MultiserverMvaSolver, PopulationRecursion,
+    multiserver_mva, ClosedSolver, MultiserverMvaSolver, PopulationRecursion, SolverIter,
 };
 use mvasd_queueing::network::{ClosedNetwork, Station};
 
@@ -22,21 +22,17 @@ fn net(cpu_demand: f64) -> ClosedNetwork {
 fn main() {
     let mut g = Bench::new("population_recursion_300_steps");
     // Low-utilization CPU: carried double-double recursion throughout.
+    let light = net(0.01);
     g.measure("carried_dd", Plan::light(10), || {
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
-        let demands = [0.01, 0.004];
-        for n in 1..=300usize {
-            rec.step(n, &demands);
-        }
+        let mut rec = PopulationRecursion::new(light.clone()).unwrap();
+        rec.drain(300).unwrap();
         rec.is_quasi_static()
     });
     // Saturating CPU: switches to per-step quasi-static convolution.
+    let saturating = net(0.16);
     g.measure("quasi_static_switch", Plan::heavy(), || {
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
-        let demands = [0.16, 0.004];
-        for n in 1..=300usize {
-            rec.step(n, &demands);
-        }
+        let mut rec = PopulationRecursion::new(saturating.clone()).unwrap();
+        rec.drain(300).unwrap();
         rec.is_quasi_static()
     });
     println!("{}", g.report());

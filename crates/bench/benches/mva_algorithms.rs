@@ -3,7 +3,7 @@
 
 use mvasd_bench::timing::{Bench, Plan};
 use mvasd_core::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
-use mvasd_core::solver::{MvasdSingleServerSolver, MvasdSolver};
+use mvasd_core::solver::{MvasdSolver, SolverBackend};
 use mvasd_queueing::mva::{
     run_until, ClosedSolver, ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver, StopCondition,
 };
@@ -65,7 +65,7 @@ fn main() {
         g.measure(&format!("vins_carried/{n}"), Plan::heavy(), || {
             carried.solve(n).unwrap()
         });
-        let single = MvasdSingleServerSolver::new(vp.clone());
+        let single = MvasdSolver::with_backend(vp.clone(), SolverBackend::MvasdSingleServer);
         g.measure(&format!("vins_single_server/{n}"), Plan::heavy(), || {
             single.solve(n).unwrap()
         });

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use mvasd_core::accuracy::{compare_solution, compare_solver, render_table};
 use mvasd_core::algorithm::{mvasd, mvasd_single_server};
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
-use mvasd_core::solver::{MvasdSingleServerSolver, MvasdSolver};
+use mvasd_core::solver::{MvasdSolver, SolverBackend};
 use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Extrapolation, Interpolant};
 use mvasd_queueing::mva::{ClosedSolver, MvaSolution};
 
@@ -185,7 +185,10 @@ pub fn table5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let mut models: Vec<(String, Box<dyn ClosedSolver>)> = vec![
         (
             "MVASD: Single-Server".to_string(),
-            Box::new(MvasdSingleServerSolver::new(profile.clone())),
+            Box::new(MvasdSolver::with_backend(
+                profile.clone(),
+                SolverBackend::MvasdSingleServer,
+            )),
         ),
         ("MVASD".to_string(), Box::new(MvasdSolver::new(profile))),
     ];

@@ -1,23 +1,28 @@
 //! Algorithm 3 — MVASD: exact multi-server MVA with varying service
 //! demands.
 //!
-//! Identical to the multi-server recursion (paper Algorithm 2 /
-//! `mvasd_queueing::mva::multiserver_mva`) except that the demand of every
-//! station is re-read from the interpolated profile at every population
-//! step: `SSⁿ_k ← h_k(n)` (the underlined changes in the paper's
-//! Algorithm 3 listing), so the residence update becomes paper eq. 11:
+//! Identical to the multi-server recursion (paper Algorithm 2) except that
+//! the demand of every station is re-read from the interpolated profile at
+//! every population step: `SSⁿ_k ← h_k(n)` (the underlined changes in the
+//! paper's Algorithm 3 listing), so the residence update becomes paper
+//! eq. 11:
 //!
 //! ```text
 //! R_k = (SSⁿ_k / C_k) · (1 + Q_k + F_k)
 //! ```
 //!
-//! As in the Algorithm 2 implementation, the eq. 11 correction is
-//! evaluated through the exact load-dependent marginal recursion (the two
-//! forms are algebraically equal; the exact marginals avoid the numeric
-//! instability of the truncated transcription — see
-//! `mvasd_queueing::mva::multiserver_mva` docs). The marginal update uses
-//! the *current* interpolated demand, mirroring how the paper's pseudocode
-//! substitutes `SSⁿ_k` into every `S_k` occurrence.
+//! That substitution is all this module adds. [`ProfileSchedule`] is a
+//! [`DemandSchedule`]: it fills each step's demand array from the profile,
+//! and the recursions themselves live once, in `mvasd-queueing` —
+//! [`PopulationRecursion`](mvasd_queueing::mva::PopulationRecursion) for
+//! exact MVASD (the eq. 11 correction evaluated through the exact marginal
+//! recursion, switching to quasi-static convolution near saturation; see
+//! its docs), [`ExactMvaIter`](mvasd_queueing::mva::ExactMvaIter) for the
+//! single-server baseline and
+//! [`SchweitzerIter`](mvasd_queueing::mva::SchweitzerIter) for the
+//! approximate variant. The marginal update uses the *current*
+//! interpolated demand, mirroring how the paper's pseudocode substitutes
+//! `SSⁿ_k` into every `S_k` occurrence.
 //!
 //! With a [`DemandAxis::Throughput`] profile the lookup abscissa is the
 //! previous iteration's throughput `X_{n−1}` instead of `n` (the paper's
@@ -28,136 +33,101 @@
 //! server (`D/C`), run through the Algorithm-1 recursion — shown in the
 //! paper (Fig. 8, Table 5) to underperform the true multi-server treatment.
 
-use mvasd_obsv as obsv;
-use mvasd_queueing::mva::{MvaPoint, MvaSolution, PopulationRecursion, SolverIter, StationPoint};
+use std::sync::Arc;
+
+use mvasd_queueing::mva::{ClosedSolver, DemandSchedule, MvaSolution, ScheduledNetwork};
+use mvasd_queueing::network::StationKind;
 use mvasd_queueing::QueueingError;
 
 use crate::profile::{DemandAxis, ServiceDemandProfile};
+use crate::solver::{MvasdSolver, SolverBackend};
 use crate::CoreError;
 
-/// Maps an iterator-layer error back to the core vocabulary: the MVASD
-/// recursions only ever fail with parameter-domain errors, which predate
-/// the streaming refactor as [`CoreError::InvalidParameter`].
-fn core_err(e: QueueingError) -> CoreError {
-    match e {
-        QueueingError::InvalidParameter { what } => CoreError::InvalidParameter { what },
-        other => CoreError::Queueing(other),
-    }
+/// The demand schedule of Algorithm 3: each step's demands are the
+/// profile's interpolants evaluated at the step's lookup abscissa.
+#[derive(Debug, Clone)]
+pub struct ProfileSchedule {
+    profile: ServiceDemandProfile,
+    /// Divide each demand by its station's server count (the single-server
+    /// baseline's `D/C` normalization).
+    per_server: bool,
 }
 
-/// Resolves the profile-lookup abscissa for population `n` (the underlined
-/// step of Algorithm 3). Throughput-indexed profiles bootstrap from the
-/// lowest sampled abscissa on the first iteration and feed back `X_{n−1}`
-/// afterwards.
-fn lookup_abscissa(profile: &ServiceDemandProfile, n: usize, x_prev: f64) -> f64 {
-    match profile.axis() {
-        DemandAxis::Concurrency => n as f64,
-        DemandAxis::Throughput => {
-            if n == 1 {
-                profile.sampled_levels().first().copied().unwrap_or(0.0)
-            } else {
-                x_prev
+impl ProfileSchedule {
+    /// The profile's stations as `C_k`-server queues with interpolated
+    /// demands — or, with `per_server`, as single-server queues with the
+    /// demands normalized to `D/C`.
+    pub fn network(
+        profile: &ServiceDemandProfile,
+        per_server: bool,
+    ) -> Result<ScheduledNetwork, QueueingError> {
+        let stations = profile.stations();
+        ScheduledNetwork::new(
+            stations.iter().map(|s| s.name.clone()).collect(),
+            stations
+                .iter()
+                .map(|s| StationKind::Queueing {
+                    servers: if per_server { 1 } else { s.servers },
+                })
+                .collect(),
+            profile.think_time(),
+            Arc::new(Self {
+                profile: profile.clone(),
+                per_server,
+            }),
+        )
+    }
+
+    /// Resolves the profile-lookup abscissa for population `n` (the
+    /// underlined step of Algorithm 3). Throughput-indexed profiles
+    /// bootstrap from the lowest sampled abscissa on the first iteration
+    /// and feed back `X_{n−1}` afterwards.
+    fn lookup_abscissa(&self, n: usize, x_prev: f64) -> f64 {
+        match self.profile.axis() {
+            DemandAxis::Concurrency => n as f64,
+            DemandAxis::Throughput => {
+                if n == 1 {
+                    self.profile
+                        .sampled_levels()
+                        .first()
+                        .copied()
+                        .unwrap_or(0.0)
+                } else {
+                    x_prev
+                }
             }
         }
     }
 }
 
-/// The MVASD recursion (paper Algorithm 3) as a resumable iterator.
-///
-/// The carried state is the shared multi-server recursion engine
-/// ([`PopulationRecursion`]: queues + marginal probabilities, double-double
-/// precision while carried) plus the previous throughput that feeds
-/// throughput-indexed profiles. Snapshotting clones that state — the
-/// interpolants themselves are shared behind `Arc`, so clones are cheap.
-#[derive(Debug, Clone)]
-pub struct MvasdIter {
-    profile: ServiceDemandProfile,
-    names: std::sync::Arc<[String]>,
-    rec: PopulationRecursion,
-    x_prev: f64,
-    n: usize,
-}
-
-impl MvasdIter {
-    /// Starts a fresh recursion at population 0.
-    pub fn new(profile: &ServiceDemandProfile) -> Self {
-        let stations = profile.stations();
-        let names = stations
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        // The exact multi-server recursion state (double-double internals)
-        // is shared with Algorithm 2 — MVASD *is* that recursion with a
-        // fresh demand array per population step.
-        let rec = PopulationRecursion::new(
-            stations.iter().map(|s| s.servers).collect(),
-            profile.think_time(),
-        );
-        Self {
-            profile: profile.clone(),
-            names,
-            rec,
-            x_prev: 0.0,
-            n: 0,
+impl DemandSchedule for ProfileSchedule {
+    fn fill(&self, n: usize, x_prev: f64, out: &mut [f64]) {
+        let abscissa = self.lookup_abscissa(n, x_prev);
+        for (slot, s) in out.iter_mut().zip(self.profile.stations()) {
+            let d = s.demand_at(abscissa);
+            *slot = if self.per_server {
+                d / s.servers as f64
+            } else {
+                d
+            };
         }
     }
 }
 
-impl SolverIter for MvasdIter {
-    fn station_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
-    }
-
-    fn population(&self) -> usize {
-        self.n
-    }
-
-    fn step(&mut self) -> Result<MvaPoint, QueueingError> {
-        let _span = obsv::span("mvasd.step");
-        obsv::counter("solver.steps", 1);
-        let n = self.n + 1;
-        let stations = self.profile.stations();
-        let k_count = stations.len();
-        let z = self.profile.think_time();
-
-        let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        let ss: Vec<f64> = stations.iter().map(|s| s.demand_at(abscissa)).collect();
-
-        let (x, r_total, residence) = self.rec.step(n, &ss);
-        self.x_prev = x;
-
-        let station_points = (0..k_count)
-            .map(|k| StationPoint {
-                queue: self.rec.queue(k),
-                residence: residence[k],
-                utilization: x * ss[k] / stations[k].servers as f64,
-            })
-            .collect();
-
-        self.n = n;
-        Ok(MvaPoint {
-            n,
-            throughput: x,
-            response: r_total,
-            cycle_time: r_total + z,
-            stations: station_points,
-        })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
-    }
+fn solve(
+    profile: &ServiceDemandProfile,
+    backend: SolverBackend,
+    n_max: usize,
+) -> Result<MvaSolution, CoreError> {
+    MvasdSolver::with_backend(profile.clone(), backend)
+        .solve(n_max)
+        .map_err(CoreError::from)
 }
 
-/// Runs MVASD (paper Algorithm 3) up to population `n_max` (a drain of
-/// [`MvasdIter`]). `n_max = 0` yields an empty solution.
+/// Runs MVASD (paper Algorithm 3) up to population `n_max`. `n_max = 0`
+/// yields an empty solution.
 pub fn mvasd(profile: &ServiceDemandProfile, n_max: usize) -> Result<MvaSolution, CoreError> {
-    MvasdIter::new(profile).drain(n_max).map_err(core_err)
+    solve(profile, SolverBackend::Mvasd, n_max)
 }
 
 /// The "MVASD: Single-Server" baseline of paper Fig. 8 / Table 5: demand
@@ -168,99 +138,7 @@ pub fn mvasd_single_server(
     profile: &ServiceDemandProfile,
     n_max: usize,
 ) -> Result<MvaSolution, CoreError> {
-    MvasdSingleServerIter::new(profile)
-        .drain(n_max)
-        .map_err(core_err)
-}
-
-/// The single-server MVASD baseline as a resumable iterator; the carried
-/// state is the Algorithm-1 queue vector plus the previous throughput.
-#[derive(Debug, Clone)]
-pub struct MvasdSingleServerIter {
-    profile: ServiceDemandProfile,
-    names: std::sync::Arc<[String]>,
-    q: Vec<f64>,
-    x_prev: f64,
-    n: usize,
-}
-
-impl MvasdSingleServerIter {
-    /// Starts a fresh recursion at population 0.
-    pub fn new(profile: &ServiceDemandProfile) -> Self {
-        let names = profile
-            .stations()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let q = vec![0.0f64; profile.stations().len()];
-        Self {
-            profile: profile.clone(),
-            names,
-            q,
-            x_prev: 0.0,
-            n: 0,
-        }
-    }
-}
-
-impl SolverIter for MvasdSingleServerIter {
-    fn station_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
-    }
-
-    fn population(&self) -> usize {
-        self.n
-    }
-
-    fn step(&mut self) -> Result<MvaPoint, QueueingError> {
-        let _span = obsv::span("mvasd-single-server.step");
-        obsv::counter("solver.steps", 1);
-        let n = self.n + 1;
-        let stations = self.profile.stations();
-        let k_count = stations.len();
-        let z = self.profile.think_time();
-
-        let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        let mut residence = vec![0.0f64; k_count];
-        for (k, s) in stations.iter().enumerate() {
-            let d_norm = s.demand_at(abscissa) / s.servers as f64;
-            residence[k] = d_norm * (1.0 + self.q[k]);
-        }
-        let r_total: f64 = residence.iter().sum();
-        let x = n as f64 / (r_total + z);
-        self.x_prev = x;
-        for (qk, rk) in self.q.iter_mut().zip(&residence) {
-            *qk = x * rk;
-        }
-
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
-                queue: self.q[k],
-                residence: residence[k],
-                utilization: x * s.demand_at(abscissa) / s.servers as f64,
-            })
-            .collect();
-
-        self.n = n;
-        Ok(MvaPoint {
-            n,
-            throughput: x,
-            response: r_total,
-            cycle_time: r_total + z,
-            stations: station_points,
-        })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
-    }
+    solve(profile, SolverBackend::MvasdSingleServer, n_max)
 }
 
 /// Approximate MVASD: Schweitzer's fixed point with the Seidmann
@@ -277,135 +155,7 @@ pub fn mvasd_schweitzer(
     profile: &ServiceDemandProfile,
     n_max: usize,
 ) -> Result<MvaSolution, CoreError> {
-    MvasdSchweitzerIter::new(profile)
-        .drain(n_max)
-        .map_err(core_err)
-}
-
-/// The approximate MVASD variant as a resumable iterator; the carried
-/// state is the Schweitzer queue vector (which warm-starts each
-/// population's fixed point) plus the previous throughput.
-#[derive(Debug, Clone)]
-pub struct MvasdSchweitzerIter {
-    profile: ServiceDemandProfile,
-    names: std::sync::Arc<[String]>,
-    q: Vec<f64>,
-    x_prev: f64,
-    n: usize,
-}
-
-impl MvasdSchweitzerIter {
-    /// Starts a fresh recursion at population 0.
-    pub fn new(profile: &ServiceDemandProfile) -> Self {
-        let k_count = profile.stations().len();
-        let names = profile
-            .stations()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        Self {
-            profile: profile.clone(),
-            names,
-            q: vec![1.0 / k_count as f64; k_count],
-            x_prev: 0.0,
-            n: 0,
-        }
-    }
-}
-
-impl SolverIter for MvasdSchweitzerIter {
-    fn station_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
-    }
-
-    fn population(&self) -> usize {
-        self.n
-    }
-
-    fn step(&mut self) -> Result<MvaPoint, QueueingError> {
-        let _span = obsv::span("mvasd-schweitzer.step");
-        obsv::counter("solver.steps", 1);
-        let n = self.n + 1;
-        let nf = n as f64;
-        let stations = self.profile.stations();
-        let k_count = stations.len();
-        let z = self.profile.think_time();
-
-        let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        // Seidmann split of the interpolated demands: queueing part D/C,
-        // delay part D·(C−1)/C.
-        let split: Vec<(f64, f64)> = stations
-            .iter()
-            .map(|s| {
-                let d = s.demand_at(abscissa);
-                let c = s.servers as f64;
-                (d / c, d * (c - 1.0) / c)
-            })
-            .collect();
-
-        let mut x = 0.0;
-        let mut residence = vec![0.0f64; k_count];
-        let mut converged = false;
-        let mut iterations = 0u64;
-        for _ in 0..10_000 {
-            iterations += 1;
-            let mut r_total = 0.0;
-            for (k, &(dq, dd)) in split.iter().enumerate() {
-                residence[k] = dq * (1.0 + (nf - 1.0) / nf * self.q[k]) + dd;
-                r_total += residence[k];
-            }
-            x = nf / (r_total + z);
-            let mut delta: f64 = 0.0;
-            for (qk, rk) in self.q.iter_mut().zip(&residence) {
-                let new_q = x * rk;
-                delta = delta.max((new_q - *qk).abs());
-                *qk = new_q;
-            }
-            if delta < 1e-10 {
-                converged = true;
-                break;
-            }
-        }
-        if obsv::enabled() {
-            obsv::counter("schweitzer.fixed_point_iterations", iterations);
-            obsv::observe("schweitzer.iterations_per_step", iterations);
-        }
-        if !converged {
-            return Err(QueueingError::InvalidParameter {
-                what: "Schweitzer iteration did not converge",
-            });
-        }
-        self.x_prev = x;
-
-        let r_total: f64 = residence.iter().sum();
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
-                queue: self.q[k],
-                residence: residence[k],
-                utilization: x * s.demand_at(abscissa) / s.servers as f64,
-            })
-            .collect();
-
-        self.n = n;
-        Ok(MvaPoint {
-            n,
-            throughput: x,
-            response: r_total,
-            cycle_time: r_total + z,
-            stations: station_points,
-        })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
-    }
+    solve(profile, SolverBackend::MvasdSchweitzer, n_max)
 }
 
 #[cfg(test)]

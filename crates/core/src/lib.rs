@@ -16,11 +16,14 @@
 //!
 //! * [`profile`] — [`profile::ServiceDemandProfile`]: the interpolated
 //!   demand arrays (vs concurrency, or vs throughput as in paper Fig. 11).
-//! * [`algorithm`] — [`algorithm::mvasd`] (Algorithm 3), the
+//! * [`algorithm`] — [`algorithm::ProfileSchedule`], the demand schedule
+//!   that turns the queueing recursions into Algorithm 3, and the drains
+//!   [`algorithm::mvasd`] (Algorithm 3), the
 //!   [`algorithm::mvasd_single_server`] baseline the paper shows to
 //!   underperform (demands normalized by core count, single-server MVA),
 //!   and [`algorithm::mvasd_schweitzer`] (fast approximate variant for
-//!   very large populations).
+//!   very large populations). The recursions themselves live once, in
+//!   `mvasd-queueing`.
 //! * [`designer`] — load-test sample placement: Chebyshev Nodes (paper
 //!   Section 8), equi-spaced, and random strategies.
 //! * [`demand_fit`] — parametric demand laws `D(n) = d_∞(1 + α·e^{−n/τ})`
@@ -34,9 +37,11 @@
 //!   throughput-indexed profiles, the extension paper Section 7 motivates.
 //! * [`pipeline`] — the three-step prediction workflow of paper Fig. 17
 //!   (design points → load test → interpolate + predict).
-//! * [`solver`] — [`mvasd_queueing::mva::ClosedSolver`] adapters for the
-//!   MVASD family, so the algorithms here slot into the same comparison
-//!   pipelines as the static solvers and the simulation estimator.
+//! * [`solver`] — [`solver::MvasdSolver`], the MVASD family as one
+//!   [`mvasd_queueing::mva::ClosedSolver`] selected by
+//!   [`solver::SolverBackend`], so the algorithms here slot into the same
+//!   comparison pipelines as the static solvers and the simulation
+//!   estimator.
 //! * [`sweep`] — warm-restart scenario sweeps: families of what-if models
 //!   served from shared, memoized population iterators with early-exit
 //!   stop conditions.

@@ -18,26 +18,10 @@ use mvasd_queueing::mva::{run_until, ClosedSolver, MvaSolution, RunOutcome, Stop
 
 use crate::designer::{design_levels, SamplingStrategy};
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
-use crate::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use crate::solver::MvasdSolver;
+pub use crate::solver::SolverBackend;
 use crate::sweep::ScenarioSweep;
 use crate::CoreError;
-
-/// Which member of the MVASD family backs Step 3 of the workflow.
-///
-/// All variants implement [`ClosedSolver`], so switching backend — or
-/// comparing against an external solver via
-/// [`PredictionWorkflow::predict_with_solver`] — never changes the
-/// surrounding pipeline code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Exact multi-server MVASD (paper Algorithm 3) — the default.
-    #[default]
-    Mvasd,
-    /// The paper's single-server baseline (demands normalized by cores).
-    MvasdSingleServer,
-    /// Approximate Schweitzer fixed point (fast for huge populations).
-    MvasdSchweitzer,
-}
 
 /// The Fig. 17 workflow configuration.
 ///
@@ -129,11 +113,7 @@ impl PredictionWorkflow {
 
     /// Wraps an already-built profile in the configured backend.
     pub fn solver_for_profile(&self, profile: ServiceDemandProfile) -> Box<dyn ClosedSolver> {
-        match self.backend {
-            SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
-            SolverBackend::MvasdSingleServer => Box::new(MvasdSingleServerSolver::new(profile)),
-            SolverBackend::MvasdSchweitzer => Box::new(MvasdSchweitzerSolver::new(profile)),
-        }
+        Box::new(MvasdSolver::with_backend(profile, self.backend))
     }
 
     /// Runs **any** [`ClosedSolver`] as the workflow's Step 3 — the hook

@@ -122,6 +122,12 @@ impl DemandSamples {
                 });
             }
         }
+        // lint: float-eq-ok validation rejects the exact all-zero-demand input, not near-zero
+        if self.demands.iter().flatten().all(|&d| d == 0.0) {
+            return Err(CoreError::InvalidParameter {
+                what: "at least one station must have positive demand",
+            });
+        }
         Ok(())
     }
 }
@@ -466,6 +472,39 @@ mod tests {
             DemandAxis::Concurrency
         )
         .is_err());
+    }
+
+    #[test]
+    fn all_zero_demands_are_rejected_on_both_axes() {
+        // With Z = 0 such a model has no finite throughput: every MVASD
+        // backend used to emit NaN/inf points instead of an error.
+        for axis in [DemandAxis::Concurrency, DemandAxis::Throughput] {
+            for think_time in [0.0, 1.0] {
+                let s = DemandSamples {
+                    think_time,
+                    demands: vec![vec![0.0; 4]; 2],
+                    ..samples()
+                };
+                assert_eq!(
+                    ServiceDemandProfile::from_samples(&s, InterpolationKind::Linear, axis)
+                        .unwrap_err(),
+                    CoreError::InvalidParameter {
+                        what: "at least one station must have positive demand"
+                    },
+                    "{axis:?}, Z = {think_time}"
+                );
+            }
+            // One positive sample anywhere is a valid model.
+            let mut s = DemandSamples {
+                think_time: 0.0,
+                demands: vec![vec![0.0; 4]; 2],
+                ..samples()
+            };
+            s.demands[1][2] = 0.01;
+            assert!(
+                ServiceDemandProfile::from_samples(&s, InterpolationKind::Linear, axis).is_ok()
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! [`ClosedSolver`] implementations for the MVASD family.
+//! [`MvasdSolver`]: the MVASD family as a [`ClosedSolver`].
 //!
-//! These adapters put the paper's Algorithm 3 (and its single-server and
-//! Schweitzer variants) behind the same interface as the static MVA
-//! solvers in `mvasd-queueing`, so "MVA·i vs MVASD" comparisons — and any
-//! pipeline stage that consumes a solver — are one-line swaps.
-//!
-//! The model bound at construction is a [`ServiceDemandProfile`] rather
-//! than a static network: the defining feature of MVASD is that demands
-//! are re-interpolated at every population step.
+//! One solver type covers the paper's Algorithm 3 and its single-server
+//! and Schweitzer variants, selected by [`SolverBackend`]; this is the one
+//! place a backend becomes a solver, so the pipeline and the scenario
+//! sweep build theirs here. It puts MVASD behind the same interface as the
+//! static MVA solvers in `mvasd-queueing`, so "MVA·i vs MVASD"
+//! comparisons — and any pipeline stage that consumes a solver — are
+//! one-line swaps.
 //!
 //! The hierarchical Norton-aggregation family ([`HierarchicalSolver`] and
 //! its model types) is re-exported here from `mvasd-queueing`, so
@@ -22,7 +21,9 @@
 //! lattice — single-class is literally the 1-class special case (bit-for-bit
 //! against the exact backend; see `tests/properties.rs`).
 
-use mvasd_queueing::mva::{ClosedSolver, MvaSolution, SolverIter};
+use mvasd_queueing::mva::{
+    ClosedSolver, ExactMvaIter, PopulationRecursion, SchweitzerIter, SchweitzerOptions, SolverIter,
+};
 use mvasd_queueing::QueueingError;
 
 pub use mvasd_queueing::hierarchy::{
@@ -35,10 +36,7 @@ pub use mvasd_queueing::mva::{
     MulticlassSolution, MulticlassStepper, MulticlassWorkspace, Workload,
 };
 
-use crate::algorithm::{
-    mvasd, mvasd_schweitzer, mvasd_single_server, MvasdIter, MvasdSchweitzerIter,
-    MvasdSingleServerIter,
-};
+use crate::algorithm::ProfileSchedule;
 use crate::profile::ServiceDemandProfile;
 use crate::CoreError;
 
@@ -52,17 +50,44 @@ impl From<CoreError> for QueueingError {
     }
 }
 
-/// MVASD (paper Algorithm 3): exact multi-server MVA with per-population
-/// interpolated service demands.
+/// Which member of the MVASD family a [`MvasdSolver`] runs.
+///
+/// Every variant reads its demands through the same [`ProfileSchedule`];
+/// they differ only in the queueing recursion that consumes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SolverBackend {
+    /// Exact multi-server MVASD (paper Algorithm 3) — the default.
+    #[default]
+    Mvasd,
+    /// The paper's single-server baseline (demands normalized by cores).
+    MvasdSingleServer,
+    /// Approximate Schweitzer fixed point (fast for huge populations).
+    MvasdSchweitzer,
+}
+
+/// The MVASD family (paper Algorithm 3 and its single-server and
+/// Schweitzer variants) behind the workspace-wide [`ClosedSolver`]
+/// interface, so "MVA·i vs MVASD" comparisons are one-line swaps.
+///
+/// The model bound at construction is a [`ServiceDemandProfile`] rather
+/// than a static network: the defining feature of MVASD is that demands
+/// are re-interpolated at every population step.
 #[derive(Debug, Clone)]
 pub struct MvasdSolver {
     profile: ServiceDemandProfile,
+    backend: SolverBackend,
 }
 
 impl MvasdSolver {
-    /// Binds the solver to an interpolated demand profile.
+    /// Exact MVASD over an interpolated demand profile.
     pub fn new(profile: ServiceDemandProfile) -> Self {
-        Self { profile }
+        Self::with_backend(profile, SolverBackend::Mvasd)
+    }
+
+    /// The given member of the MVASD family over an interpolated demand
+    /// profile.
+    pub fn with_backend(profile: ServiceDemandProfile, backend: SolverBackend) -> Self {
+        Self { profile, backend }
     }
 
     /// The underlying profile.
@@ -73,72 +98,25 @@ impl MvasdSolver {
 
 impl ClosedSolver for MvasdSolver {
     fn name(&self) -> &str {
-        "mvasd"
+        match self.backend {
+            SolverBackend::Mvasd => "mvasd",
+            SolverBackend::MvasdSingleServer => "mvasd-single-server",
+            SolverBackend::MvasdSchweitzer => "mvasd-schweitzer",
+        }
     }
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        Ok(Box::new(MvasdIter::new(&self.profile)))
-    }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd(&self.profile, n_max).map_err(QueueingError::from)
-    }
-}
-
-/// The paper's "MVASD: Single-Server" baseline: interpolated demands
-/// normalized by core count, Algorithm-1 recursion.
-#[derive(Debug, Clone)]
-pub struct MvasdSingleServerSolver {
-    profile: ServiceDemandProfile,
-}
-
-impl MvasdSingleServerSolver {
-    /// Binds the solver to an interpolated demand profile.
-    pub fn new(profile: ServiceDemandProfile) -> Self {
-        Self { profile }
-    }
-}
-
-impl ClosedSolver for MvasdSingleServerSolver {
-    fn name(&self) -> &str {
-        "mvasd-single-server"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        Ok(Box::new(MvasdSingleServerIter::new(&self.profile)))
-    }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd_single_server(&self.profile, n_max).map_err(QueueingError::from)
-    }
-}
-
-/// Approximate MVASD: Schweitzer fixed point with the Seidmann transform
-/// over per-population interpolated demands. Expect the documented ~2–20 %
-/// knee-region deviation of the Schweitzer family.
-#[derive(Debug, Clone)]
-pub struct MvasdSchweitzerSolver {
-    profile: ServiceDemandProfile,
-}
-
-impl MvasdSchweitzerSolver {
-    /// Binds the solver to an interpolated demand profile.
-    pub fn new(profile: ServiceDemandProfile) -> Self {
-        Self { profile }
-    }
-}
-
-impl ClosedSolver for MvasdSchweitzerSolver {
-    fn name(&self) -> &str {
-        "mvasd-schweitzer"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        Ok(Box::new(MvasdSchweitzerIter::new(&self.profile)))
-    }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd_schweitzer(&self.profile, n_max).map_err(QueueingError::from)
+        let network = |per_server| ProfileSchedule::network(&self.profile, per_server);
+        Ok(match self.backend {
+            SolverBackend::Mvasd => Box::new(PopulationRecursion::with_schedule(network(false)?)?),
+            SolverBackend::MvasdSingleServer => {
+                Box::new(ExactMvaIter::with_schedule(network(true)?))
+            }
+            SolverBackend::MvasdSchweitzer => Box::new(SchweitzerIter::with_schedule(
+                network(false)?,
+                SchweitzerOptions::default(),
+            )?),
+        })
     }
 }
 
@@ -146,7 +124,7 @@ impl ClosedSolver for MvasdSchweitzerSolver {
 mod tests {
     use super::*;
     use crate::profile::{DemandAxis, DemandSamples, InterpolationKind};
-    use mvasd_queueing::mva::{ExactMvaSolver, MultiserverMvaSolver};
+    use mvasd_queueing::mva::{ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver};
     use mvasd_queueing::network::{ClosedNetwork, Station};
 
     fn flat_profile(demand: f64, servers: usize) -> ServiceDemandProfile {
@@ -170,8 +148,11 @@ mod tests {
         let p = flat_profile(0.01, 1);
         let solvers: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSolver::with_backend(
+                p.clone(),
+                SolverBackend::MvasdSingleServer,
+            )),
+            Box::new(MvasdSolver::with_backend(p, SolverBackend::MvasdSchweitzer)),
         ];
         for s in &solvers {
             let sol = s.solve(30).unwrap();
@@ -191,7 +172,10 @@ mod tests {
         let reference = ExactMvaSolver::new(net.clone()).solve(50).unwrap();
         let family: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p)),
+            Box::new(MvasdSolver::with_backend(
+                p,
+                SolverBackend::MvasdSingleServer,
+            )),
             Box::new(MultiserverMvaSolver::new(net)),
         ];
         for s in &family {
@@ -205,6 +189,34 @@ mod tests {
                 );
             }
         }
+
+        // Each variant runs the queueing recursion its static counterpart
+        // runs, and a flat profile is a constant schedule: the pairs agree
+        // bit for bit, approximate Schweitzer included.
+        let p4 = flat_profile(0.016, 4);
+        let net4 = ClosedNetwork::new(vec![Station::queueing("s0", 4, 1.0, 0.016)], 1.0).unwrap();
+        let normalized =
+            ClosedNetwork::new(vec![Station::queueing("s0", 1, 1.0, 0.016 / 4.0)], 1.0).unwrap();
+        let pairs = [
+            (
+                SolverBackend::MvasdSchweitzer,
+                SchweitzerSolver::new(net4.clone()).solve(50).unwrap(),
+            ),
+            (
+                SolverBackend::MvasdSingleServer,
+                ExactMvaSolver::new(normalized).solve(50).unwrap(),
+            ),
+            (
+                SolverBackend::Mvasd,
+                PopulationRecursion::new(net4).unwrap().drain(50).unwrap(),
+            ),
+        ];
+        for (backend, reference) in pairs {
+            let sol = MvasdSolver::with_backend(p4.clone(), backend)
+                .solve(50)
+                .unwrap();
+            assert_eq!(sol, reference, "{backend:?}");
+        }
     }
 
     #[test]
@@ -212,8 +224,11 @@ mod tests {
         let p = flat_profile(0.01, 2);
         let family: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSolver::with_backend(
+                p.clone(),
+                SolverBackend::MvasdSingleServer,
+            )),
+            Box::new(MvasdSolver::with_backend(p, SolverBackend::MvasdSchweitzer)),
         ];
         for s in &family {
             let sol = s.solve(0).unwrap();
@@ -232,8 +247,11 @@ mod tests {
         let p = flat_profile(0.012, 4);
         let family: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSolver::with_backend(
+                p.clone(),
+                SolverBackend::MvasdSingleServer,
+            )),
+            Box::new(MvasdSolver::with_backend(p, SolverBackend::MvasdSchweitzer)),
         ];
         for s in &family {
             let batch = s.solve(40).unwrap();

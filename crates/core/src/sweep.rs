@@ -37,9 +37,8 @@ use mvasd_queueing::mva::{
 };
 use mvasd_queueing::QueueingError;
 
-use crate::pipeline::SolverBackend;
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
-use crate::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use crate::solver::{MvasdSolver, SolverBackend};
 use crate::CoreError;
 
 // The scoped pool itself lives in `mvasd_numerics::pool` so the queueing
@@ -665,16 +664,10 @@ impl ScenarioSweep {
                                     self.interpolation,
                                     self.axis,
                                 )?;
-                                let solver: Box<dyn ClosedSolver> = match self.backend {
-                                    SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
-                                    SolverBackend::MvasdSingleServer => {
-                                        Box::new(MvasdSingleServerSolver::new(profile))
-                                    }
-                                    SolverBackend::MvasdSchweitzer => {
-                                        Box::new(MvasdSchweitzerSolver::new(profile))
-                                    }
-                                };
-                                (solver, None)
+                                (
+                                    Box::new(MvasdSolver::with_backend(profile, self.backend)),
+                                    None,
+                                )
                             }
                             ResolvedModel::Hierarchy(solver) => (Box::new(solver.clone()), None),
                             ResolvedModel::Workload(workload) => (

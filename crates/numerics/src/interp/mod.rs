@@ -61,8 +61,9 @@ pub trait Interpolant: Send + Sync {
 }
 
 /// Locates the segment index `i` such that `x ∈ [xs[i], xs[i+1]]`, clamping
-/// to the first/last segment outside the range. `xs` must be strictly
-/// increasing with `len ≥ 2` (guaranteed by interpolant constructors).
+/// to the first/last segment outside the range; a NaN `x` maps to the first
+/// segment. `xs` must be strictly increasing with `len ≥ 2` (guaranteed by
+/// interpolant constructors).
 pub(crate) fn segment_index(xs: &[f64], x: f64) -> usize {
     debug_assert!(xs.len() >= 2);
     if xs.first().map_or(true, |&lo| x <= lo) {
@@ -74,8 +75,9 @@ pub(crate) fn segment_index(xs: &[f64], x: f64) -> usize {
     }
     // partition_point returns the first index with xs[i] > x, so the segment
     // start is one before it.
+    // A NaN `x` fails every comparison, so `idx` is 0 only in that case.
     let idx = xs.partition_point(|&k| k <= x);
-    (idx - 1).min(last)
+    idx.saturating_sub(1).min(last)
 }
 
 #[cfg(test)]
@@ -93,6 +95,7 @@ mod tests {
         assert_eq!(segment_index(&xs, 3.9), 2);
         assert_eq!(segment_index(&xs, 4.0), 2);
         assert_eq!(segment_index(&xs, 99.0), 2);
+        assert_eq!(segment_index(&xs, f64::NAN), 0);
     }
 
     #[test]

@@ -615,7 +615,7 @@ impl LevelEngine {
                     conv.push(ConvStation {
                         name: s.name.clone(),
                         demand: s.demand(),
-                        rate: rate_of(&s.kind),
+                        rate: RateFunction::from(&s.kind),
                     });
                     sources.push(Source::Leaf);
                     width += 1;
@@ -893,15 +893,6 @@ impl LevelEngine {
     }
 }
 
-fn rate_of(kind: &StationKind) -> RateFunction {
-    match kind {
-        StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
-        StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
-        StationKind::Delay => RateFunction::Delay,
-        StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
-    }
-}
-
 /// Marginal limits for a level: flow-equivalent stations track their full
 /// occupancy distribution (`table_len + 1` states, occupancies `0..=len`);
 /// plain leaves track none.
@@ -1080,7 +1071,7 @@ impl HierIter {
             .iter()
             .map(|s| LeafMeta {
                 demand: s.demand(),
-                max_rate: rate_of(&s.kind).max_rate(),
+                max_rate: RateFunction::from(&s.kind).max_rate(),
             })
             .collect::<Vec<_>>()
             .into();

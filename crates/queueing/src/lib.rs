@@ -16,12 +16,16 @@
 //!   [`mva::load_dependent_mva`] — both evaluated through Buzen's
 //!   normalization-constant algorithm in log-domain, the numerically
 //!   robust exact form (the naive marginal recursion diverges near
-//!   multi-server saturation; see the `multiserver` module docs). The
-//!   shared stepping engine [`mva::PopulationRecursion`] powers MVASD, and
+//!   multi-server saturation; see the `multiserver` module docs).
 //!   [`mva::multiclass_mva`] adds the exact multiclass extension. All of
 //!   them (and the MVASD variants and simulation estimator downstream) are
 //!   callable through the unified [`mva::ClosedSolver`] trait, which makes
 //!   solver backends one-line swaps in comparison pipelines.
+//! * [`mva::DemandSchedule`] — where the single-class recursions
+//!   ([`mva::ExactMvaIter`], [`mva::SchweitzerIter`] and the exact
+//!   multi-server [`mva::PopulationRecursion`]) read each step's demand
+//!   array. A static network is the constant schedule of its own demands;
+//!   MVASD is the same recursions over a spline schedule.
 //! * [`open`] — open Jackson-network analysis (M/M/c tiers) for
 //!   cross-validation and for the "open systems" discussion of Section 7.
 //! * [`hierarchy`] — Norton flow-equivalent-server aggregation: tiered
@@ -30,9 +34,9 @@
 //!   disaggregation back onto the flat stations. Scales the paper's
 //!   twelve-station VINS shape to microservice-size estates.
 //!
-//! The crate deliberately contains **no** varying-service-demand logic: that
-//! is the paper's contribution and lives in `mvasd-core`, which builds on the
-//! solvers here.
+//! The crate deliberately contains **no** demand-interpolation logic: the
+//! spline profiles are the paper's contribution and live in `mvasd-core`,
+//! which plugs them into the recursions here as a [`mva::DemandSchedule`].
 //!
 //! ## Example: a 2-tier closed network
 //!

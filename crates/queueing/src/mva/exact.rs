@@ -20,35 +20,39 @@ use crate::network::{ClosedNetwork, StationKind};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
+use super::schedule::ScheduledNetwork;
 use super::stepping::{MvaPoint, SolverIter};
 use super::{MvaSolution, StationPoint};
 
 /// The exact single-server MVA recursion as a resumable iterator: the
 /// carried state is exactly the queue-length vector `Q_k(n)` of the
-/// Arrival Theorem.
+/// Arrival Theorem, plus the last throughput that a throughput-indexed
+/// demand schedule reads.
 #[derive(Debug, Clone)]
 pub struct ExactMvaIter {
-    net: ClosedNetwork,
-    names: std::sync::Arc<[String]>,
+    net: ScheduledNetwork,
+    /// This step's demands, refilled from the schedule.
+    demands: Vec<f64>,
     /// `Q_k` at the last yielded population.
     q: Vec<f64>,
+    x_prev: f64,
     n: usize,
 }
 
 impl ExactMvaIter {
     /// Starts a fresh recursion at population 0.
     pub fn new(net: ClosedNetwork) -> Self {
-        let names = net
-            .stations()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let q = vec![0.0f64; net.stations().len()];
+        Self::with_schedule((&net).into())
+    }
+
+    /// Starts a fresh recursion whose demands come from a schedule.
+    pub fn with_schedule(net: ScheduledNetwork) -> Self {
+        let k_count = net.kinds.len();
         Self {
             net,
-            names,
-            q,
+            demands: vec![0.0; k_count],
+            q: vec![0.0; k_count],
+            x_prev: 0.0,
             n: 0,
         }
     }
@@ -56,11 +60,11 @@ impl ExactMvaIter {
 
 impl SolverIter for ExactMvaIter {
     fn station_names(&self) -> &[String] {
-        &self.names
+        &self.net.names
     }
 
     fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
+        self.net.names.clone()
     }
 
     fn population(&self) -> usize {
@@ -71,38 +75,37 @@ impl SolverIter for ExactMvaIter {
         let _span = obsv::span("exact-mva.step");
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
-        let stations = self.net.stations();
-        let k_count = stations.len();
-        let z = self.net.think_time();
+        let z = self.net.think_time;
+        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
 
-        // Residence time per interaction at each station.
-        let mut residence = vec![0.0f64; k_count];
-        for (k, s) in stations.iter().enumerate() {
-            let d = s.demand();
-            // Algorithm 1 ignores declared core counts and rate tables by
-            // design: every non-delay station is a single-server queue.
-            residence[k] = match &s.kind {
+        // Residence time per interaction at each station. Algorithm 1
+        // ignores declared core counts and rate tables by design: every
+        // non-delay station is a single-server queue.
+        let residence: Vec<f64> = self
+            .net
+            .kinds
+            .iter()
+            .zip(&self.demands)
+            .zip(&self.q)
+            .map(|((kind, &d), &qk)| match kind {
                 StationKind::Delay => d,
-                StationKind::Queueing { .. } | StationKind::LoadDependent { .. } => {
-                    d * (1.0 + self.q[k])
-                }
-            };
-        }
+                StationKind::Queueing { .. } | StationKind::LoadDependent { .. } => d * (1.0 + qk),
+            })
+            .collect();
         let r_total: f64 = residence.iter().sum();
         let x = n as f64 / (r_total + z);
         for (qk, rk) in self.q.iter_mut().zip(&residence) {
             *qk = x * rk;
         }
+        self.x_prev = x;
 
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
+        let station_points = (0..residence.len())
+            .map(|k| StationPoint {
                 queue: self.q[k],
                 residence: residence[k],
                 // All kinds share the single-server traffic-intensity form
                 // here (see the residence computation above).
-                utilization: x * s.demand(),
+                utilization: x * self.demands[k],
             })
             .collect();
 

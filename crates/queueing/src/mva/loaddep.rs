@@ -20,6 +20,7 @@
 //! paper's MVASD models *demand* dependence on the **global** population,
 //! which is a different (and weaker-studied) axis — see `mvasd-core`.
 
+use crate::network::StationKind;
 use crate::QueueingError;
 
 use super::convolution::{solve, to_mva_solution, ConvStation};
@@ -77,6 +78,19 @@ impl RateFunction {
                 })
             }
             _ => Ok(()),
+        }
+    }
+}
+
+/// The rate model of a static station kind: a `C`-server queue is
+/// `min(j, C)`, a delay station `j`, a load-dependent table itself.
+impl From<&StationKind> for RateFunction {
+    fn from(kind: &StationKind) -> Self {
+        match kind {
+            StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
+            StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
+            StationKind::Delay => RateFunction::Delay,
+            StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
         }
     }
 }

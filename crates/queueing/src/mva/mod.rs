@@ -11,6 +11,7 @@ mod exact;
 mod loaddep;
 mod multiclass;
 mod multiserver;
+mod schedule;
 mod schweitzer;
 mod solver;
 mod stepping;
@@ -27,6 +28,7 @@ pub use multiclass::{
 pub use multiserver::{
     multiserver_mva, multiserver_mva_with_marginals, MarginalTrace, PopulationRecursion,
 };
+pub use schedule::{DemandSchedule, ScheduledNetwork};
 pub use schweitzer::{schweitzer_mva, SchweitzerIter, SchweitzerOptions};
 pub use solver::{
     ClosedSolver, ConvolutionSolver, ExactMvaSolver, LoadDependentSolver, MultiserverMvaSolver,

@@ -43,13 +43,16 @@
 //! are allocated once and reused for the rest of the sweep.
 
 use mvasd_numerics::dd::Dd;
+use mvasd_obsv as obsv;
 
 use crate::network::{ClosedNetwork, StationKind};
 use crate::QueueingError;
 
 use super::convolution::{solve, to_mva_solution, ConvStation, ConvWorkspace};
 use super::loaddep::RateFunction;
-use super::MvaSolution;
+use super::schedule::ScheduledNetwork;
+use super::stepping::{MvaPoint, SolverIter};
+use super::{MvaSolution, StationPoint};
 
 /// Snapshot history of the marginal queue-length probabilities of one
 /// station (the entries that drive the eq. 10 correction).
@@ -80,12 +83,7 @@ pub(crate) fn conv_stations(net: &ClosedNetwork) -> Vec<ConvStation> {
         .map(|s| ConvStation {
             name: s.name.clone(),
             demand: s.demand(),
-            rate: match &s.kind {
-                StationKind::Delay => RateFunction::Delay,
-                StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
-                StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
-                StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
-            },
+            rate: RateFunction::from(&s.kind),
         })
         .collect()
 }
@@ -143,12 +141,15 @@ pub fn multiserver_mva_with_marginals(
 /// to ~1e-28).
 const QUASI_STATIC_SWITCH: f64 = 0.5;
 
-/// Shared population-stepping engine of Algorithms 2 and 3.
+/// The exact multi-server population recursion of Algorithms 2 and 3, as
+/// a resumable iterator.
 ///
-/// Advances one population at a time with whatever demand array the caller
-/// supplies — constant demands reproduce Algorithm 2; feeding the
-/// spline-interpolated `SSⁿ` array at each step is exactly MVASD
-/// (Algorithm 3), which is how `mvasd-core` uses this type.
+/// Each step reads its demand array from the network's
+/// [`DemandSchedule`](super::DemandSchedule): a static network's constant
+/// demands reproduce Algorithm 2; the spline-interpolated `SSⁿ` array of
+/// `mvasd-core` is exactly MVASD (Algorithm 3), which is the path this
+/// type serves (constant-demand Algorithm 2 runs on the one-pass
+/// convolution in [`multiserver_mva`]).
 ///
 /// Internally it runs the exact carried recursion (double-double state)
 /// while every multi-server station's utilization stays below
@@ -158,11 +159,15 @@ const QUASI_STATIC_SWITCH: f64 = 0.5;
 /// robust reading of the same algorithm, and the semantically right one
 /// for steady-state prediction (a load test at `N` users measures the
 /// steady state of the system *with the demands it has at `N`*).
+///
+/// Snapshotting clones the carried state; the schedule is shared.
 #[derive(Debug, Clone)]
 pub struct PopulationRecursion {
-    /// Server count per station (`usize::MAX` encodes a delay station).
-    servers: Vec<usize>,
-    think_time: f64,
+    net: ScheduledNetwork,
+    /// Server count per station; `None` marks a delay station.
+    servers: Vec<Option<usize>>,
+    /// This step's demands, refilled from the schedule.
+    demands: Vec<f64>,
     /// Queue lengths (double-double while in carried mode).
     q: Vec<Dd>,
     /// Marginals p(0..C−1) per multi-server station (empty otherwise).
@@ -173,32 +178,46 @@ pub struct PopulationRecursion {
     /// on the first quasi-static step and reused (extended or rebuilt in
     /// place) for every step after.
     ws: Option<ConvWorkspace>,
+    x_prev: f64,
+    n: usize,
 }
 
 impl PopulationRecursion {
-    /// Creates the state for the given per-station server counts
-    /// (`usize::MAX` encodes a delay station) and think time.
-    pub fn new(servers: Vec<usize>, think_time: f64) -> Self {
+    /// Starts a fresh recursion at population 0 over a static network.
+    /// Rejects load-dependent stations.
+    pub fn new(net: ClosedNetwork) -> Result<Self, QueueingError> {
+        Self::with_schedule((&net).into())
+    }
+
+    /// As [`new`](Self::new), with demands from a schedule.
+    pub fn with_schedule(net: ScheduledNetwork) -> Result<Self, QueueingError> {
+        net.reject_load_dependent(
+            "the multi-server recursion does not support load-dependent stations",
+        )?;
+        // With rate tables rejected, `None` marks a delay station.
+        let servers: Vec<Option<usize>> = net.kinds.iter().map(StationKind::server_count).collect();
         let p = servers
             .iter()
-            .map(|&c| {
-                if c != usize::MAX && c > 1 {
+            .map(|c| match *c {
+                Some(c) if c > 1 => {
                     let mut v = vec![Dd::ZERO; c];
                     v[0] = Dd::ONE;
                     v
-                } else {
-                    Vec::new()
                 }
+                _ => Vec::new(),
             })
             .collect();
-        Self {
+        Ok(Self {
+            demands: vec![0.0; servers.len()],
             q: vec![Dd::ZERO; servers.len()],
+            net,
             servers,
-            think_time,
             p,
             quasi_static: false,
             ws: None,
-        }
+            x_prev: 0.0,
+            n: 0,
+        })
     }
 
     /// Whether the engine has switched to quasi-static evaluation.
@@ -206,63 +225,64 @@ impl PopulationRecursion {
         self.quasi_static
     }
 
-    /// Advances one population step with the given demand array; returns
-    /// `(throughput, response, residences)` rounded to `f64`.
-    pub fn step(&mut self, n: usize, demands: &[f64]) -> (f64, f64, Vec<f64>) {
+    /// Advances the carried state to population `n` with this step's
+    /// demands; returns `(throughput, response, residences)` rounded to
+    /// `f64`.
+    fn advance(&mut self, n: usize) -> (f64, f64, Vec<f64>) {
         if self.quasi_static {
-            return self.quasi_static_step(n, demands);
+            return self.quasi_static_step(n);
         }
-        let k_count = self.servers.len();
-        let mut residence = vec![Dd::ZERO; k_count];
-        for k in 0..k_count {
-            let d = demands[k];
-            residence[k] = match self.servers[k] {
-                usize::MAX => Dd::from_f64(d),
-                1 => (self.q[k] + 1.0) * d,
-                c => {
-                    // eq. 10: (D/C)(1 + Q + F), F = Σ (C−1−j)p(j).
-                    let mut f = Dd::ZERO;
-                    for (j, pj) in self.p[k].iter().take(c - 1).enumerate() {
-                        f = f + *pj * ((c - 1 - j) as f64);
+        let residence: Vec<Dd> = (0..self.servers.len())
+            .map(|k| {
+                let d = self.demands[k];
+                match self.servers[k] {
+                    None => Dd::from_f64(d),
+                    Some(1) => (self.q[k] + 1.0) * d,
+                    Some(c) => {
+                        // eq. 10: (D/C)(1 + Q + F), F = Σ (C−1−j)p(j).
+                        let mut f = Dd::ZERO;
+                        for (j, pj) in self.p[k].iter().take(c - 1).enumerate() {
+                            f = f + *pj * ((c - 1 - j) as f64);
+                        }
+                        (self.q[k] + f + 1.0) * (d / c as f64)
                     }
-                    (self.q[k] + f + 1.0) * (d / c as f64)
                 }
-            };
-        }
+            })
+            .collect();
         let mut r_total = Dd::ZERO;
         for r in &residence {
             r_total = r_total + *r;
         }
-        let x = (r_total + self.think_time).recip_mul(n as f64);
+        let x = (r_total + self.net.think_time).recip_mul(n as f64);
 
         // Check the stability envelope before committing this step: if any
         // multi-server station is past the switch utilization, redo the
         // step quasi-statically and stay there.
-        for k in 0..k_count {
-            let c = self.servers[k];
-            if c != usize::MAX && c > 1 && x.to_f64() * demands[k] / c as f64 > QUASI_STATIC_SWITCH
-            {
-                self.quasi_static = true;
-                return self.quasi_static_step(n, demands);
-            }
+        let past_switch = self.servers.iter().zip(&self.demands).any(|(c, &d)| {
+            matches!(*c, Some(c) if c > 1 && x.to_f64() * d / c as f64 > QUASI_STATIC_SWITCH)
+        });
+        if past_switch {
+            self.quasi_static = true;
+            return self.quasi_static_step(n);
         }
 
-        for k in 0..k_count {
-            self.q[k] = x * residence[k];
-            let c = self.servers[k];
-            if c != usize::MAX && c > 1 {
-                let u = x * demands[k];
-                let old = self.p[k].clone();
-                for j in 1..c {
-                    self.p[k][j] = (u * old[j - 1] * (1.0 / j as f64)).max_zero();
-                }
-                // Busy-server identity closes p(0).
-                let mut weighted = Dd::ZERO;
-                for j in 1..c {
-                    weighted = weighted + self.p[k][j] * ((c - j) as f64);
-                }
-                self.p[k][0] = (Dd::ONE - (u + weighted) * (1.0 / c as f64)).max_zero();
+        for (k, r) in residence.iter().enumerate() {
+            self.q[k] = x * *r;
+            let c = match self.servers[k] {
+                Some(c) if c > 1 => c,
+                _ => continue,
+            };
+            let u = x * self.demands[k];
+            let old = self.p[k].clone();
+            for j in 1..c {
+                self.p[k][j] = (u * old[j - 1] * (1.0 / j as f64)).max_zero();
             }
+            // Busy-server identity closes p(0).
+            let mut weighted = Dd::ZERO;
+            for j in 1..c {
+                weighted = weighted + self.p[k][j] * ((c - j) as f64);
+            }
+            self.p[k][0] = (Dd::ONE - (u + weighted) * (1.0 / c as f64)).max_zero();
         }
 
         (
@@ -276,47 +296,35 @@ impl PopulationRecursion {
     /// with this step's demand array, served by the carried incremental
     /// workspace (same-demand steps extend in `O(K)`; demand changes
     /// rebuild the carried columns in `O(K·n)`).
-    fn quasi_static_step(&mut self, n: usize, demands: &[f64]) -> (f64, f64, Vec<f64>) {
+    fn quasi_static_step(&mut self, n: usize) -> (f64, f64, Vec<f64>) {
         if self.ws.is_none() {
             let conv: Vec<ConvStation> = self
-                .servers
+                .net
+                .names
                 .iter()
-                .zip(demands.iter())
-                .enumerate()
-                .map(|(k, (&c, &d))| ConvStation {
-                    name: format!("s{k}"),
+                .zip(&self.net.kinds)
+                .zip(&self.demands)
+                .map(|((name, kind), &d)| ConvStation {
+                    name: name.clone(),
                     demand: d,
-                    rate: match c {
-                        usize::MAX => RateFunction::Delay,
-                        1 => RateFunction::SingleServer,
-                        c => RateFunction::MultiServer(c),
-                    },
+                    rate: RateFunction::from(kind),
                 })
                 .collect();
-            let limits: Vec<usize> = self
-                .servers
-                .iter()
-                .map(|&c| if c != usize::MAX && c > 1 { c } else { 0 })
-                .collect();
+            let limits = vec![0; conv.len()];
             self.ws = Some(
-                ConvWorkspace::from_conv(conv, self.think_time, limits)
+                ConvWorkspace::from_conv(conv, self.net.think_time, limits)
                     .expect("quasi-static workspace over a validated network"),
             );
         }
         let ws = self.ws.as_mut().expect("just built");
-        ws.solve_at(n, demands)
+        ws.solve_at(n, &self.demands)
             .expect("quasi-static solve of a validated network");
         let x = ws.throughput();
         let queues = ws.queues();
-        // Refresh the carried state so marginals()/queue() stay meaningful.
-        for (k, &qk) in queues.iter().enumerate().take(self.servers.len()) {
-            self.q[k] = Dd::from_f64(qk);
-            if !self.p[k].is_empty() {
-                let marg = ws.marginals_of(k);
-                for (j, slot) in self.p[k].iter_mut().enumerate() {
-                    *slot = Dd::from_f64(marg.get(j).copied().unwrap_or(0.0));
-                }
-            }
+        // The carried queues feed the yielded point; the marginals are
+        // never read again once the switch has happened.
+        for (qk, &q) in self.q.iter_mut().zip(queues) {
+            *qk = Dd::from_f64(q);
         }
         let residences: Vec<f64> = queues
             .iter()
@@ -325,16 +333,52 @@ impl PopulationRecursion {
         let r_total: f64 = residences.iter().sum();
         (x, r_total, residences)
     }
+}
 
-    /// Current marginal snapshot of station `k` (empty for single-server
-    /// and delay stations), rounded to `f64`.
-    pub fn marginals(&self, k: usize) -> Vec<f64> {
-        self.p[k].iter().map(|d| d.to_f64()).collect()
+impl SolverIter for PopulationRecursion {
+    fn station_names(&self) -> &[String] {
+        &self.net.names
     }
 
-    /// Current queue length of station `k`.
-    pub fn queue(&self, k: usize) -> f64 {
-        self.q[k].to_f64()
+    fn shared_names(&self) -> std::sync::Arc<[String]> {
+        self.net.names.clone()
+    }
+
+    fn population(&self) -> usize {
+        self.n
+    }
+
+    fn step(&mut self) -> Result<MvaPoint, QueueingError> {
+        let _span = obsv::span("mvasd.step");
+        obsv::counter("solver.steps", 1);
+        let n = self.n + 1;
+        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
+        let (x, r_total, residence) = self.advance(n);
+        self.x_prev = x;
+
+        let station_points = (0..residence.len())
+            .map(|k| StationPoint {
+                queue: self.q[k].to_f64(),
+                residence: residence[k],
+                utilization: match self.servers[k] {
+                    Some(c) => x * self.demands[k] / c as f64,
+                    None => x * self.demands[k],
+                },
+            })
+            .collect();
+
+        self.n = n;
+        Ok(MvaPoint {
+            n,
+            throughput: x,
+            response: r_total,
+            cycle_time: r_total + self.net.think_time,
+            stations: station_points,
+        })
+    }
+
+    fn boxed_clone(&self) -> Box<dyn SolverIter> {
+        Box::new(self.clone())
     }
 }
 
@@ -586,11 +630,11 @@ mod tests {
         )
         .unwrap();
         let reference = multiserver_mva(&net, 250).unwrap();
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
-        let demands = vec![0.16, 0.004];
+        let mut rec = PopulationRecursion::new(net).unwrap();
         let mut switched_at = None;
         for n in 1..=250usize {
-            let (x, r, _) = rec.step(n, &demands);
+            let p = rec.step().unwrap();
+            let (x, r) = (p.throughput, p.response);
             if switched_at.is_none() && rec.is_quasi_static() {
                 switched_at = Some(n);
             }
@@ -609,14 +653,46 @@ mod tests {
 
     #[test]
     fn recursion_engine_stays_carried_for_low_utilization() {
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
         // CPU never exceeds 35 % of 16 cores; disk is the bottleneck but is
         // single-server (always stable).
-        let demands = vec![0.055, 0.0098];
-        for n in 1..=1500usize {
-            rec.step(n, &demands);
-        }
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 16, 1.0, 0.055),
+                Station::queueing("disk", 1, 1.0, 0.0098),
+            ],
+            1.0,
+        )
+        .unwrap();
+        let mut rec = PopulationRecursion::new(net).unwrap();
+        rec.drain(1500).unwrap();
         assert!(!rec.is_quasi_static());
+    }
+
+    #[test]
+    fn recursion_engine_handles_delay_stations_and_rejects_rate_tables() {
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 1.0, 0.02),
+                Station::delay("lan", 1.0, 0.003),
+            ],
+            0.5,
+        )
+        .unwrap();
+        let sol = PopulationRecursion::new(net.clone())
+            .unwrap()
+            .drain(80)
+            .unwrap();
+        let reference = multiserver_mva(&net, 80).unwrap();
+        for (p, r) in sol.points.iter().zip(&reference.points) {
+            assert!(close(p.stations[1].residence, 0.003, 1e-12), "n={}", p.n);
+            assert!(close(p.throughput, r.throughput, 1e-6 * r.throughput));
+        }
+        let ld = ClosedNetwork::new(
+            vec![Station::load_dependent("fes", 1.0, 0.01, vec![1.0, 2.0])],
+            1.0,
+        )
+        .unwrap();
+        assert!(PopulationRecursion::new(ld).is_err());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! `C`-server station of demand `D` becomes a single-server station of
 //! demand `D/C` in series with a pure delay of `D·(C−1)/C`.
 
-use crate::network::{ClosedNetwork, StationKind};
+use crate::network::ClosedNetwork;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
+use super::schedule::ScheduledNetwork;
 use super::stepping::{MvaPoint, SolverIter};
 use super::{MvaSolution, StationPoint};
 
@@ -37,60 +38,52 @@ impl Default for SchweitzerOptions {
 
 /// The Schweitzer fixed point as a resumable iterator: the carried state
 /// is the queue-length vector that warm-starts each population's fixed
-/// point from the previous population's solution.
+/// point from the previous population's solution, plus the last throughput
+/// that a throughput-indexed demand schedule reads.
 #[derive(Debug, Clone)]
 pub struct SchweitzerIter {
-    net: ClosedNetwork,
+    net: ScheduledNetwork,
     opts: SchweitzerOptions,
-    names: std::sync::Arc<[String]>,
-    /// Seidmann decomposition: per station, (queueing demand, delay
-    /// demand, is-queueing).
+    /// This step's demands, refilled from the schedule.
+    demands: Vec<f64>,
+    /// Seidmann decomposition of this step's demands: per station,
+    /// (queueing demand, delay demand, is-queueing).
     split: Vec<(f64, f64, bool)>,
     /// Warm-start queues from the last yielded population.
     q: Vec<f64>,
+    x_prev: f64,
     n: usize,
 }
 
 impl SchweitzerIter {
     /// Starts a fresh recursion at population 0. Rejects non-positive /
-    /// non-finite tolerances and a zero iteration cap.
+    /// non-finite tolerances, a zero iteration cap and load-dependent
+    /// stations.
     pub fn new(net: ClosedNetwork, opts: SchweitzerOptions) -> Result<Self, QueueingError> {
+        Self::with_schedule((&net).into(), opts)
+    }
+
+    /// As [`new`](Self::new), with demands from a schedule.
+    pub fn with_schedule(
+        net: ScheduledNetwork,
+        opts: SchweitzerOptions,
+    ) -> Result<Self, QueueingError> {
         if !opts.tolerance.is_finite() || opts.tolerance <= 0.0 || opts.max_iterations == 0 {
             return Err(QueueingError::InvalidParameter {
                 what: "tolerance must be > 0 and max_iterations >= 1",
             });
         }
-        let names = net
-            .stations()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let mut split = Vec::with_capacity(net.stations().len());
-        for s in net.stations() {
-            let d = s.demand();
-            split.push(match &s.kind {
-                StationKind::Delay => (0.0, d, false),
-                StationKind::Queueing { servers } => {
-                    let c = *servers as f64;
-                    (d / c, d * (c - 1.0) / c, true)
-                }
-                // The Seidmann transform has no analogue for an arbitrary
-                // rate table; aggregated stations need an exact backend.
-                StationKind::LoadDependent { .. } => {
-                    return Err(QueueingError::InvalidParameter {
-                        what: "Schweitzer AMVA does not support load-dependent stations",
-                    })
-                }
-            });
-        }
-        let q = vec![0.0f64; net.stations().len()];
+        // The Seidmann transform has no analogue for an arbitrary rate
+        // table; aggregated stations need an exact backend.
+        net.reject_load_dependent("Schweitzer AMVA does not support load-dependent stations")?;
+        let k_count = net.kinds.len();
         Ok(Self {
             net,
             opts,
-            names,
-            split,
-            q,
+            demands: vec![0.0; k_count],
+            split: vec![(0.0, 0.0, false); k_count],
+            q: vec![0.0; k_count],
+            x_prev: 0.0,
             n: 0,
         })
     }
@@ -98,11 +91,11 @@ impl SchweitzerIter {
 
 impl SolverIter for SchweitzerIter {
     fn station_names(&self) -> &[String] {
-        &self.names
+        &self.net.names
     }
 
     fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
+        self.net.names.clone()
     }
 
     fn population(&self) -> usize {
@@ -114,9 +107,24 @@ impl SolverIter for SchweitzerIter {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         let nf = n as f64;
-        let stations = self.net.stations();
-        let k_count = stations.len();
-        let z = self.net.think_time();
+        let k_count = self.q.len();
+        let z = self.net.think_time;
+        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
+        for ((slot, kind), &d) in self
+            .split
+            .iter_mut()
+            .zip(&self.net.kinds)
+            .zip(&self.demands)
+        {
+            *slot = match kind.server_count() {
+                Some(servers) => {
+                    let c = servers as f64;
+                    (d / c, d * (c - 1.0) / c, true)
+                }
+                // Load-dependent stations were rejected at construction.
+                None => (0.0, d, false),
+            };
+        }
 
         // Initial guess: previous population's queues, floored to spread.
         if n == 1 {
@@ -170,19 +178,16 @@ impl SolverIter for SchweitzerIter {
                 what: "Schweitzer iteration did not converge",
             });
         }
+        self.x_prev = x;
 
         let r_total: f64 = residence.iter().sum();
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
+        let station_points = (0..k_count)
+            .map(|k| StationPoint {
                 queue: self.q[k],
                 residence: residence[k],
-                // LoadDependent was rejected at construction, so only the
-                // two classic kinds reach this point.
-                utilization: match s.kind.server_count() {
-                    Some(servers) => x * s.demand() / servers as f64,
-                    None => x * s.demand(),
+                utilization: match self.net.kinds[k].server_count() {
+                    Some(servers) => x * self.demands[k] / servers as f64,
+                    None => x * self.demands[k],
                 },
             })
             .collect();

@@ -46,6 +46,29 @@ impl StationKind {
         }
     }
 
+    pub(crate) fn validate(&self) -> Result<(), QueueingError> {
+        match self {
+            StationKind::Queueing { servers: 0 } => Err(QueueingError::InvalidParameter {
+                what: "station must have at least one server",
+            }),
+            StationKind::Queueing { .. } | StationKind::Delay => Ok(()),
+            StationKind::LoadDependent { rates } if rates.is_empty() => {
+                Err(QueueingError::InvalidParameter {
+                    what: "load-dependent rate table must be non-empty",
+                })
+            }
+            StationKind::LoadDependent { rates } => {
+                if rates.iter().all(|r| r.is_finite() && *r > 0.0) {
+                    Ok(())
+                } else {
+                    Err(QueueingError::InvalidParameter {
+                        what: "load-dependent rates must be finite and > 0",
+                    })
+                }
+            }
+        }
+    }
+
     /// The largest relative service rate the station can reach: `C` for a
     /// `C`-server queueing station, the table maximum for a load-dependent
     /// station, and `∞` for a delay station (it never saturates).
@@ -122,28 +145,7 @@ impl Station {
     }
 
     fn validate(&self) -> Result<(), QueueingError> {
-        match &self.kind {
-            StationKind::Queueing { servers } => {
-                if *servers == 0 {
-                    return Err(QueueingError::InvalidParameter {
-                        what: "station must have at least one server",
-                    });
-                }
-            }
-            StationKind::Delay => {}
-            StationKind::LoadDependent { rates } => {
-                if rates.is_empty() {
-                    return Err(QueueingError::InvalidParameter {
-                        what: "load-dependent rate table must be non-empty",
-                    });
-                }
-                if !rates.iter().all(|r| r.is_finite() && *r > 0.0) {
-                    return Err(QueueingError::InvalidParameter {
-                        what: "load-dependent rates must be finite and > 0",
-                    });
-                }
-            }
-        }
+        self.kind.validate()?;
         if !(self.visits.is_finite() && self.visits >= 0.0) {
             return Err(QueueingError::InvalidParameter {
                 what: "visits must be finite and >= 0",

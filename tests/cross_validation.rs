@@ -5,7 +5,7 @@
 use mvasd_suite::core::profile::{
     DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile,
 };
-use mvasd_suite::core::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use mvasd_suite::core::solver::{MvasdSolver, SolverBackend};
 use mvasd_suite::numerics::erlang::{machine_repair, mmc};
 use mvasd_suite::queueing::hierarchy::{
     HierarchicalNetwork, HierarchicalSolver, NetworkNode, Subsystem,
@@ -226,7 +226,10 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
         Box::new(ConvolutionSolver::new(net.clone())),
         Box::new(HierarchicalSolver::new(hier)),
         Box::new(MvasdSolver::new(profile.clone())),
-        Box::new(MvasdSingleServerSolver::new(profile.clone())),
+        Box::new(MvasdSolver::with_backend(
+            profile.clone(),
+            SolverBackend::MvasdSingleServer,
+        )),
     ];
     for solver in &exact_family {
         let sol = solver.solve(n).unwrap();
@@ -251,7 +254,10 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
     // Approximate family: fixed-point AMVA, documented ~6 % band near the knee.
     let approximate: Vec<Box<dyn ClosedSolver>> = vec![
         Box::new(SchweitzerSolver::new(net.clone())),
-        Box::new(MvasdSchweitzerSolver::new(profile)),
+        Box::new(MvasdSolver::with_backend(
+            profile,
+            SolverBackend::MvasdSchweitzer,
+        )),
     ];
     for solver in &approximate {
         let sol = solver.solve(n).unwrap();

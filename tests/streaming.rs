@@ -10,7 +10,7 @@
 use mvasd_suite::core::profile::{
     DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile,
 };
-use mvasd_suite::core::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use mvasd_suite::core::solver::{MvasdSolver, SolverBackend};
 use mvasd_suite::core::sweep::{Scenario, ScenarioSweep};
 use mvasd_suite::numerics::propcheck::{check, Config, Gen};
 use mvasd_suite::queueing::hierarchy::{
@@ -37,7 +37,9 @@ fn network() -> ClosedNetwork {
     .unwrap()
 }
 
-fn profile() -> ServiceDemandProfile {
+/// Falling cpu and disk demands, sampled at levels 1, 60 and 200 of
+/// `axis` (concurrency, or throughput fed back as `X_{n−1}`).
+fn profile(axis: DemandAxis) -> ServiceDemandProfile {
     let samples = DemandSamples {
         station_names: vec!["cpu".into(), "disk".into()],
         server_counts: vec![4, 1],
@@ -45,12 +47,7 @@ fn profile() -> ServiceDemandProfile {
         levels: vec![1.0, 60.0, 200.0],
         demands: vec![vec![0.024, 0.021, 0.020], vec![0.012, 0.011, 0.0105]],
     };
-    ServiceDemandProfile::from_samples(
-        &samples,
-        InterpolationKind::CubicNotAKnot,
-        DemandAxis::Concurrency,
-    )
-    .unwrap()
+    ServiceDemandProfile::from_samples(&samples, InterpolationKind::CubicNotAKnot, axis).unwrap()
 }
 
 fn sim_solver() -> SimSolver {
@@ -92,10 +89,12 @@ fn hierarchical_network() -> HierarchicalNetwork {
 }
 
 /// All ten backends, each paired with a population depth that keeps the
-/// suite fast (the DES backend runs one simulation per step).
+/// suite fast (the DES backend runs one simulation per step). The three
+/// MVASD variants also run over a throughput-axis profile, whose carried
+/// `X_{n−1}` must survive snapshot/resume.
 fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
     let net = network();
-    vec![
+    let mut backends: Vec<(Box<dyn ClosedSolver>, usize)> = vec![
         (
             Box::new(ExactMvaSolver::new(net.clone())) as Box<dyn ClosedSolver>,
             60,
@@ -104,15 +103,25 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
         (Box::new(ConvolutionSolver::new(net.clone())), 60),
         (Box::new(LoadDependentSolver::from_network(&net)), 60),
         (Box::new(SchweitzerSolver::new(net)), 60),
-        (Box::new(MvasdSolver::new(profile())), 60),
-        (Box::new(MvasdSingleServerSolver::new(profile())), 60),
-        (Box::new(MvasdSchweitzerSolver::new(profile())), 60),
         (
             Box::new(HierarchicalSolver::new(hierarchical_network())),
             60,
         ),
         (Box::new(sim_solver()), 6),
-    ]
+    ];
+    for axis in [DemandAxis::Concurrency, DemandAxis::Throughput] {
+        for backend in [
+            SolverBackend::Mvasd,
+            SolverBackend::MvasdSingleServer,
+            SolverBackend::MvasdSchweitzer,
+        ] {
+            backends.push((
+                Box::new(MvasdSolver::with_backend(profile(axis), backend)),
+                60,
+            ));
+        }
+    }
+    backends
 }
 
 #[test]
