@@ -17,11 +17,12 @@
 
 use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
-use mvasd_queueing::mva::{reference_solve_at, ConvWorkspace, LdStation, RateFunction};
+use mvasd_queueing::mva::{reference_solve_at, ConvWorkspace};
+use mvasd_queueing::network::{ClosedNetwork, Station};
 
 /// The 12-station, three-tier, 16-core VINS-scale network (same shape and
 /// demands as the `paper_scale_network_respects_bottleneck_law` test).
-fn vins_stations() -> Vec<LdStation> {
+fn vins_network() -> ClosedNetwork {
     let spec: [(&str, usize, f64); 12] = [
         ("load-cpu", 16, 0.004),
         ("load-disk", 1, 0.0085),
@@ -36,32 +37,27 @@ fn vins_stations() -> Vec<LdStation> {
         ("db-tx", 1, 0.0014),
         ("db-rx", 1, 0.0012),
     ];
-    spec.iter()
-        .map(|&(name, c, d)| {
-            let rate = if c > 1 {
-                RateFunction::MultiServer(c)
-            } else {
-                RateFunction::SingleServer
-            };
-            LdStation::new(name, d, rate)
-        })
-        .collect()
+    let stations = spec
+        .iter()
+        .map(|&(name, c, d)| Station::queueing(name, c, 1.0, d))
+        .collect();
+    ClosedNetwork::new(stations, 1.0).expect("valid VINS network")
 }
 
 /// Marginal limits: track the full `p(0..C−1)` snapshot of every 16-core
 /// CPU (what the eq. 10 correction consumes), nothing else.
-fn marginal_limits() -> Vec<usize> {
-    vins_stations()
+fn marginal_limits(net: &ClosedNetwork) -> Vec<usize> {
+    net.stations()
         .iter()
-        .map(|s| match s.rate {
-            RateFunction::MultiServer(c) if c > 1 => c,
+        .map(|s| match s.kind.server_count() {
+            Some(c) if c > 1 => c,
             _ => 0,
         })
         .collect()
 }
 
-fn workspace_sweep(stations: &[LdStation], limits: &[usize], n_max: usize) -> f64 {
-    let mut ws = ConvWorkspace::new(stations, 1.0, limits).expect("valid VINS network");
+fn workspace_sweep(net: &ClosedNetwork, limits: &[usize], n_max: usize) -> f64 {
+    let mut ws = ConvWorkspace::new(net, limits).expect("valid VINS network");
     ws.reserve(n_max);
     for _ in 0..n_max {
         ws.advance().expect("sweep within capacity");
@@ -69,37 +65,36 @@ fn workspace_sweep(stations: &[LdStation], limits: &[usize], n_max: usize) -> f6
     ws.throughput()
 }
 
-fn per_step_scratch_sweep(stations: &[LdStation], limits: &[usize], n_max: usize) -> f64 {
+fn per_step_scratch_sweep(net: &ClosedNetwork, limits: &[usize], n_max: usize) -> f64 {
     let mut x = 0.0;
     for n in 1..=n_max {
-        let (xn, _, _) = reference_solve_at(stations, 1.0, n, limits).expect("valid VINS network");
+        let (xn, _, _) = reference_solve_at(net, n, limits).expect("valid VINS network");
         x = xn;
     }
     x
 }
 
 fn main() {
-    let stations = vins_stations();
-    let limits = marginal_limits();
+    let net = vins_network();
+    let limits = marginal_limits(&net);
     let n_cap = if quick_mode() { 200 } else { 1500 };
     let n_mid = if quick_mode() { 120 } else { 300 };
 
     let mut b = Bench::new("convolution_workspace_vins");
     b.measure(&format!("workspace_sweep/{n_mid}"), Plan::default(), || {
-        workspace_sweep(&stations, &limits, n_mid)
+        workspace_sweep(&net, &limits, n_mid)
     });
     b.measure(&format!("workspace_sweep/{n_cap}"), Plan::default(), || {
-        workspace_sweep(&stations, &limits, n_cap)
+        workspace_sweep(&net, &limits, n_cap)
     });
     b.measure(&format!("scratch_solve_at/{n_cap}"), Plan::heavy(), || {
-        let (x, _, _) =
-            reference_solve_at(&stations, 1.0, n_cap, &limits).expect("valid VINS network");
+        let (x, _, _) = reference_solve_at(&net, n_cap, &limits).expect("valid VINS network");
         x
     });
     b.measure(
         &format!("per_step_scratch_sweep/{n_mid}"),
         Plan::heavy(),
-        || per_step_scratch_sweep(&stations, &limits, n_mid),
+        || per_step_scratch_sweep(&net, &limits, n_mid),
     );
     // The full-depth from-scratch sweep is the honest pre-workspace cost
     // model at paper scale; it is seconds-per-call, so sample it sparsely.
@@ -110,7 +105,7 @@ fn main() {
             samples: 3,
             iters: 1,
         },
-        || per_step_scratch_sweep(&stations, &limits, n_cap),
+        || per_step_scratch_sweep(&net, &limits, n_cap),
     );
     println!("{}", b.report());
 

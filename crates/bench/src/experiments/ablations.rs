@@ -10,9 +10,7 @@ use mvasd_core::demand_fit::fit_profile;
 use mvasd_core::designer::{design_levels, SamplingStrategy};
 use mvasd_core::extrapolation::CurveFitPredictor;
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
-use mvasd_queueing::mva::{
-    ClosedSolver, ExactMvaSolver, LoadDependentSolver, MultiserverMvaSolver, SchweitzerSolver,
-};
+use mvasd_queueing::mva::{ClosedSolver, ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver};
 use mvasd_queueing::network::{ClosedNetwork, Station};
 use mvasd_testbed::apps::jpetstore;
 
@@ -72,8 +70,10 @@ pub fn interpolation(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
 
 /// Solver-family ablation on a 16-core CPU + disk network: exact
 /// multi-server (convolution) vs Schweitzer/Seidmann vs single-server
-/// normalization vs the load-dependent reference. Every contender runs
-/// through the shared [`ClosedSolver`] interface.
+/// normalization, each against the exact load-dependent reference (the
+/// convolution engine, where the 16-core CPU is the rate table
+/// `min(j, 16)`). Every contender runs through the shared
+/// [`ClosedSolver`] interface.
 pub fn solvers(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let net = ClosedNetwork::new(
         vec![
@@ -94,7 +94,7 @@ pub fn solvers(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     .expect("static model");
     let n_max = 300;
 
-    let reference = LoadDependentSolver::from_network(&net)
+    let reference = MultiserverMvaSolver::new(net.clone())
         .solve(n_max)
         .expect("reference");
 

@@ -5,7 +5,7 @@
 //! does the SLA break?" — and many of those questions share a model or need
 //! only a prefix of the population sweep. Because every solver in the
 //! workspace now exposes a resumable population iterator
-//! ([`SolverIter`](mvasd_queueing::mva::SolverIter)), a sweep engine can
+//! ([`SolverIter`]), a sweep engine can
 //! answer each question from the *longest already-computed prefix* instead
 //! of recomputing from population 1.
 //!

@@ -150,9 +150,10 @@ impl Drop for ScheduleReset {
 
 /// Runs `f` with a forced task schedule: for the duration of the call,
 /// every pool dispatch on this thread executes serially in the given
-/// completion order (see [`run_scheduled`] for how the order is adapted
-/// to each dispatch's `count`). Returns `f`'s result; the schedule is
-/// cleared on exit, panic included.
+/// completion order, adapted to each dispatch's `count`: indices
+/// `>= count` and duplicates are skipped, omitted indices run last in
+/// ascending order, and results still return in index order. Returns
+/// `f`'s result; the schedule is cleared on exit, panic included.
 pub fn with_schedule<R>(order: &[usize], f: impl FnOnce() -> R) -> R {
     SCHEDULE.with(|s| *s.borrow_mut() = Some(order.to_vec()));
     let _reset = ScheduleReset;

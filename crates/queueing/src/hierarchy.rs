@@ -612,11 +612,7 @@ impl LevelEngine {
             offsets.push(width);
             match node {
                 NetworkNode::Station(s) => {
-                    conv.push(ConvStation {
-                        name: s.name.clone(),
-                        demand: s.demand(),
-                        rate: RateFunction::from(&s.kind),
-                    });
+                    conv.push(ConvStation::from(s));
                     sources.push(Source::Leaf);
                     width += 1;
                 }

@@ -12,11 +12,12 @@
 //! * [`mva`] — the Mean Value Analysis family:
 //!   [`mva::exact_mva`] (paper Algorithm 1), [`mva::schweitzer_mva`]
 //!   (eq. 9, with the Seidmann multi-server transform), and
-//!   [`mva::multiserver_mva`] (paper Algorithm 2) together with
-//!   [`mva::load_dependent_mva`] — both evaluated through Buzen's
-//!   normalization-constant algorithm in log-domain, the numerically
-//!   robust exact form (the naive marginal recursion diverges near
-//!   multi-server saturation; see the `multiserver` module docs).
+//!   [`mva::multiserver_mva`] (paper Algorithm 2) — evaluated through
+//!   Buzen's normalization-constant algorithm in log-domain, the
+//!   numerically robust exact form (the naive marginal recursion diverges
+//!   near multi-server saturation; see the `multiserver` module docs), and
+//!   exact for queueing, delay and load-dependent (rate-table) stations
+//!   alike.
 //!   [`mva::multiclass_mva`] adds the exact multiclass extension. All of
 //!   them (and the MVASD variants and simulation estimator downstream) are
 //!   callable through the unified [`mva::ClosedSolver`] trait, which makes

@@ -9,10 +9,12 @@
 //! even in double-double arithmetic). The normalization-constant route has
 //! no subtraction anywhere: every quantity is a ratio of sums of positive
 //! terms, evaluated here with log-sum-exp so magnitudes like `Zⁿ/n!` never
-//! overflow. This is the numerically definitive evaluation used by
-//! [`super::multiserver_mva`] (paper Algorithm 2) and
-//! [`super::load_dependent_mva`], and by the quasi-static phase of the
-//! MVASD recursion.
+//! overflow. This is the one exact evaluation of a constant-demand
+//! network: [`super::multiserver_mva`] and [`super::MultiserverMvaSolver`]
+//! (paper Algorithm 2) run it over any [`ClosedNetwork`] — queueing,
+//! delay and load-dependent (rate-table) stations alike — and so do the
+//! quasi-static phase of the MVASD recursion and the Norton aggregation of
+//! the `hierarchy` module.
 //!
 //! For a single-class network with stations `k` (demand `D_k`, rate
 //! multiplier `α_k(j)`) and terminal think time `Z`:
@@ -29,11 +31,11 @@
 //! `G₍₋ₖ₎` (the network without station `k`) is produced for every station
 //! from prefix/suffix partial convolutions.
 //!
-//! Every production path — batch [`solve`], the streaming [`ConvIter`],
-//! and the per-population `solve_at` of the quasi-static MVASD phase —
-//! runs on the incremental [`ConvWorkspace`] in [`workspace`]: carried
-//! log-domain columns extended one cell per population, flat pre-allocated
-//! buffers, and O(1) telescoped updates for single-server stages. The
+//! Every production path — the streaming [`ConvIter`] and the
+//! per-population `solve_at` of the quasi-static MVASD phase — runs on the
+//! incremental [`ConvWorkspace`] in [`workspace`]: carried log-domain
+//! columns extended one cell per population, flat pre-allocated buffers,
+//! and O(1) telescoped updates for single-server stages. The
 //! pre-workspace from-scratch evaluation survives in [`scratch`] as the
 //! independent reference (propcheck oracle and benchmark baseline).
 
@@ -46,7 +48,8 @@ pub use workspace::ConvWorkspace;
 
 use super::loaddep::RateFunction;
 use super::stepping::{MvaPoint, SolverIter};
-use super::{MvaSolution, PopulationPoint, StationPoint};
+use super::{PopulationPoint, StationPoint};
+use crate::network::{ClosedNetwork, Station};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 use std::sync::Arc;
@@ -59,19 +62,16 @@ pub(crate) struct ConvStation {
     pub rate: RateFunction,
 }
 
-/// Complete convolution solution of a closed network (full population
-/// series).
-#[derive(Debug, Clone)]
-pub(crate) struct ConvSolution {
-    /// Throughput per population `1..=N`.
-    pub x: Vec<f64>,
-    /// `queues[k][n-1]` = mean customers at station `k` with population `n`.
-    pub queues: Vec<Vec<f64>>,
-    /// `marginals[k][n-1][j]` = `p_k(j|n)` for `j = 0..limit_k` where
-    /// `limit_k` is the station's marginal-tracking limit (server count for
-    /// multi-server stations; empty otherwise). Only filled for stations
-    /// where `marginal_limit > 0`.
-    pub marginals: Vec<Vec<Vec<f64>>>,
+/// The one lowering of a model station: its demand `D_k = V_k·S_k` and
+/// the rate model of its kind.
+impl From<&Station> for ConvStation {
+    fn from(s: &Station) -> Self {
+        ConvStation {
+            name: s.name.clone(),
+            demand: s.demand(),
+            rate: RateFunction::from(&s.kind),
+        }
+    }
 }
 
 /// Single-population solve result: `(X, per-station queues, per-station
@@ -79,8 +79,7 @@ pub(crate) struct ConvSolution {
 pub type PointSolution = (f64, Vec<f64>, Vec<Vec<f64>>);
 
 /// [`SolverIter`] over the incremental convolution workspace — the
-/// streaming backend behind the multiserver, load-dependent, and
-/// convolution solvers.
+/// streaming backend behind [`super::MultiserverMvaSolver`].
 #[derive(Debug, Clone)]
 pub(crate) struct ConvIter {
     ws: ConvWorkspace,
@@ -88,19 +87,10 @@ pub(crate) struct ConvIter {
 }
 
 impl ConvIter {
-    pub(crate) fn new(
-        stations: Vec<ConvStation>,
-        think_time: f64,
-        marginal_limits: Vec<usize>,
-    ) -> Result<Self, QueueingError> {
-        let names: Arc<[String]> = stations
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
+    pub(crate) fn new(net: &ClosedNetwork) -> Result<Self, QueueingError> {
         Ok(Self {
-            ws: ConvWorkspace::from_conv(stations, think_time, marginal_limits)?,
-            names,
+            ws: ConvWorkspace::new(net, &[])?,
+            names: net.station_names(),
         })
     }
 }
@@ -122,13 +112,7 @@ impl SolverIter for ConvIter {
         let _span = obsv::span("convolution.step");
         obsv::counter("solver.steps", 1);
         self.ws.advance()?;
-        Ok(point_at(
-            self.ws.stations(),
-            self.ws.think_time(),
-            self.ws.population(),
-            self.ws.throughput(),
-            self.ws.queues(),
-        ))
+        Ok(self.ws.point())
     }
 
     fn boxed_clone(&self) -> Box<dyn SolverIter> {
@@ -136,104 +120,44 @@ impl SolverIter for ConvIter {
     }
 }
 
-/// Solves the network exactly for all populations `1..=n_max` by draining
-/// an incremental [`ConvWorkspace`]. `n_max = 0` yields an empty solution.
-///
-/// `marginal_limits[k]` requests the first `limit` marginal probabilities
-/// `p_k(0..limit−1 | n)` per population (0 = skip).
-pub(crate) fn solve(
-    stations: &[ConvStation],
-    think_time: f64,
-    n_max: usize,
-    marginal_limits: &[usize],
-) -> Result<ConvSolution, QueueingError> {
-    let k_count = stations.len();
-    let mut ws = ConvWorkspace::from_conv(stations.to_vec(), think_time, marginal_limits.to_vec())?;
-    ws.reserve(n_max);
-    let mut x = Vec::with_capacity(n_max);
-    let mut queues = vec![Vec::with_capacity(n_max); k_count];
-    let mut marginals: Vec<Vec<Vec<f64>>> = (0..k_count).map(|_| Vec::new()).collect();
-    for _ in 0..n_max {
-        ws.advance()?;
-        x.push(ws.throughput());
-        for (k, q) in queues.iter_mut().enumerate() {
-            q.push(ws.queues()[k]);
-            if marginal_limits.get(k).copied().unwrap_or(0) > 0 {
-                marginals[k].push(ws.marginals_of(k).to_vec());
-            }
-        }
-    }
-    Ok(ConvSolution {
-        x,
-        queues,
-        marginals,
-    })
-}
-
-/// Shapes one population's convolution output into a [`PopulationPoint`].
-/// Shared by the batch assembly and the streaming [`ConvIter`] so both
-/// paths produce identical floats.
-pub(crate) fn point_at(
-    stations: &[ConvStation],
-    think_time: f64,
-    n: usize,
-    x: f64,
-    queues: &[f64],
-) -> PopulationPoint {
-    let station_points = stations
-        .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            let queue = queues[k];
-            let utilization = match s.rate.max_rate() {
-                Some(mr) => x * s.demand / mr,
-                None => x * s.demand,
-            };
-            StationPoint {
-                queue,
-                residence: if x > 0.0 { queue / x } else { 0.0 },
-                utilization,
-            }
-        })
-        .collect();
-    let response: f64 = queues.iter().sum::<f64>() / if x > 0.0 { x } else { 1.0 };
-    PopulationPoint {
-        n,
-        throughput: x,
-        response,
-        cycle_time: response + think_time,
-        stations: station_points,
-    }
-}
-
-/// Assembles an [`MvaSolution`] from a convolution solve.
-pub(crate) fn to_mva_solution(
-    stations: &[ConvStation],
-    think_time: f64,
-    sol: &ConvSolution,
-) -> MvaSolution {
-    let n_max = sol.x.len();
-    let mut points = Vec::with_capacity(n_max);
-    let mut queues = vec![0.0f64; stations.len()];
-    for n in 1..=n_max {
-        for (k, q) in sol.queues.iter().enumerate() {
-            queues[k] = q[n - 1];
-        }
-        points.push(point_at(stations, think_time, n, sol.x[n - 1], &queues));
-    }
-    MvaSolution {
-        station_names: stations
+impl ConvWorkspace {
+    /// Shapes the last evaluated population into a [`PopulationPoint`].
+    /// Shared by the streaming [`ConvIter`] and the marginal-tracing drain
+    /// so both produce identical floats.
+    pub(crate) fn point(&self) -> PopulationPoint {
+        let x = self.throughput();
+        let queues = self.queues();
+        let station_points = self
+            .stations()
             .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into(),
-        points,
+            .zip(queues)
+            .map(|(s, &queue)| {
+                let utilization = match s.rate.max_rate() {
+                    Some(mr) => x * s.demand / mr,
+                    None => x * s.demand,
+                };
+                StationPoint {
+                    queue,
+                    residence: if x > 0.0 { queue / x } else { 0.0 },
+                    utilization,
+                }
+            })
+            .collect();
+        let response: f64 = queues.iter().sum::<f64>() / if x > 0.0 { x } else { 1.0 };
+        PopulationPoint {
+            n: self.population(),
+            throughput: x,
+            response,
+            cycle_time: response + self.think_time(),
+            stations: station_points,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mva::MvaSolution;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
@@ -247,12 +171,41 @@ mod tests {
         }
     }
 
+    /// Per-population outputs of one drained workspace.
+    struct Series {
+        x: Vec<f64>,
+        /// `queues[k][n-1]`.
+        queues: Vec<Vec<f64>>,
+        /// `marginals[k][n-1][j]` = `p_k(j|n)` for `j < limit_k`.
+        marginals: Vec<Vec<Vec<f64>>>,
+    }
+
+    /// Drains one workspace over populations `1..=n_max`.
+    fn series(stations: &[ConvStation], z: f64, n_max: usize, limits: &[usize]) -> Series {
+        let k_count = stations.len();
+        let mut ws = ConvWorkspace::from_conv(stations.to_vec(), z, limits.to_vec()).unwrap();
+        let mut out = Series {
+            x: Vec::new(),
+            queues: vec![Vec::new(); k_count],
+            marginals: vec![Vec::new(); k_count],
+        };
+        for _ in 0..n_max {
+            ws.advance().unwrap();
+            out.x.push(ws.throughput());
+            for k in 0..k_count {
+                out.queues[k].push(ws.queues()[k]);
+                out.marginals[k].push(ws.marginals_of(k).to_vec());
+            }
+        }
+        out
+    }
+
     #[test]
     fn machine_repair_exact_all_populations() {
         // Single c-server station + think time: closed form available.
         for (c, d, z) in [(1usize, 0.25f64, 1.0f64), (4, 0.25, 1.0), (16, 0.16, 1.0)] {
             let stations = vec![st("s", d, RateFunction::MultiServer(c))];
-            let sol = solve(&stations, z, 400, &[c]).unwrap();
+            let sol = series(&stations, z, 400, &[c]);
             for n in 1..=400usize {
                 let (xe, qe) = mvasd_numerics::erlang::machine_repair(n, c, d, z).unwrap();
                 let x = sol.x[n - 1];
@@ -272,7 +225,7 @@ mod tests {
             st("disk", 0.002, RateFunction::SingleServer),
             st("lan", 0.001, RateFunction::Delay),
         ];
-        let sol = solve(&stations, 1.0, 300, &[0, 0, 0]).unwrap();
+        let sol = series(&stations, 1.0, 300, &[0, 0, 0]);
         for n in 1..=300usize {
             let at_stations: f64 = (0..3).map(|k| sol.queues[k][n - 1]).sum();
             let thinking = sol.x[n - 1] * 1.0;
@@ -291,7 +244,7 @@ mod tests {
             st("cpu", 0.16, RateFunction::MultiServer(16)),
             st("disk", 0.004, RateFunction::SingleServer),
         ];
-        let sol = solve(&stations, 1.0, 1500, &[0, 0]).unwrap();
+        let sol = series(&stations, 1.0, 1500, &[0, 0]);
         let cap = (16.0 / 0.16f64).min(1.0 / 0.004);
         let mut prev = 0.0;
         for (i, &x) in sol.x.iter().enumerate() {
@@ -306,7 +259,7 @@ mod tests {
     fn marginals_are_probabilities_and_match_busy_identity() {
         let c = 8;
         let stations = vec![st("cpu", 0.08, RateFunction::MultiServer(c))];
-        let sol = solve(&stations, 0.5, 120, &[c]).unwrap();
+        let sol = series(&stations, 0.5, 120, &[c]);
         for n in 1..=120usize {
             let snap = &sol.marginals[0][n - 1];
             let mass: f64 = snap.iter().sum();
@@ -331,7 +284,7 @@ mod tests {
             st("disk", 0.01, RateFunction::SingleServer),
         ];
         let demands = [0.03, 0.01];
-        let full = solve(&stations, 1.0, 150, &[4, 1]).unwrap();
+        let full = series(&stations, 1.0, 150, &[4, 1]);
         let mut ws = ConvWorkspace::from_conv(stations.clone(), 1.0, vec![4, 1]).unwrap();
         for n in [1usize, 17, 80, 150] {
             ws.solve_at(n, &demands).unwrap();
@@ -348,7 +301,7 @@ mod tests {
     #[test]
     fn zero_think_time_supported() {
         let stations = vec![st("s", 0.1, RateFunction::SingleServer)];
-        let sol = solve(&stations, 0.0, 50, &[0]).unwrap();
+        let sol = series(&stations, 0.0, 50, &[0]);
         // Batch network: X = 1/D for every n >= 1 (single station).
         for &x in &sol.x {
             assert!(close(x, 10.0, 1e-9));
@@ -362,8 +315,8 @@ mod tests {
             st("ghost", 0.0, RateFunction::SingleServer),
         ];
         let without = vec![st("s", 0.1, RateFunction::SingleServer)];
-        let a = solve(&with, 1.0, 60, &[0, 0]).unwrap();
-        let b = solve(&without, 1.0, 60, &[0]).unwrap();
+        let a = series(&with, 1.0, 60, &[0, 0]);
+        let b = series(&without, 1.0, 60, &[0]);
         for n in 0..60 {
             assert!(close(a.x[n], b.x[n], 1e-12));
             assert!(close(a.queues[1][n], 0.0, 1e-12));
@@ -372,63 +325,65 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(solve(&[], 1.0, 10, &[]).is_err());
+        assert!(ConvWorkspace::from_conv(Vec::new(), 1.0, Vec::new()).is_err());
+        // Zero population is meaningless for a single-point solve.
         let s = vec![st("s", 0.1, RateFunction::SingleServer)];
-        // Zero population is a valid (empty) sweep for the series solve…
-        let empty = solve(&s, 1.0, 0, &[0]).unwrap();
-        assert!(empty.x.is_empty());
-        assert_eq!(empty.queues.len(), 1);
-        // …but meaningless for a single-point solve.
         let mut ws = ConvWorkspace::from_conv(s, 1.0, vec![0]).unwrap();
         assert!(ws.solve_at(0, &[0.1]).is_err());
     }
 
-    #[test]
-    fn streaming_iterator_matches_batch_bit_for_bit() {
-        let stations = vec![
-            st("cpu", 0.03, RateFunction::MultiServer(4)),
-            st("disk", 0.01, RateFunction::SingleServer),
-            st("lan", 0.005, RateFunction::Delay),
-        ];
-        let batch = to_mva_solution(
-            &stations,
+    fn mixed_network() -> ClosedNetwork {
+        ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 1.0, 0.03),
+                Station::queueing("disk", 1, 1.0, 0.01),
+                Station::delay("lan", 1.0, 0.005),
+            ],
             0.7,
-            &solve(&stations, 0.7, 120, &[0, 0, 0]).unwrap(),
-        );
-        let mut it = ConvIter::new(stations, 0.7, vec![0, 0, 0]).unwrap();
-        let streamed = it.drain(120).unwrap();
-        assert_eq!(batch, streamed);
-
-        // Snapshot mid-sweep, resume, and land on the same floats.
-        let mut it2 = streamed_iter_to(60, &batch);
-        let snap = it2.snapshot();
-        let tail_direct = it2.drain(120).unwrap();
-        let tail_resumed = snap.resume().drain(120).unwrap();
-        assert_eq!(tail_direct, tail_resumed);
-        assert_eq!(&batch.points[60..], tail_direct.points.as_slice());
+        )
+        .unwrap()
     }
 
-    /// A ConvIter stepped to population `n` over the same model as
-    /// `streaming_iterator_matches_batch_bit_for_bit`.
-    fn streamed_iter_to(n: usize, reference: &MvaSolution) -> ConvIter {
-        let stations = vec![
-            st("cpu", 0.03, RateFunction::MultiServer(4)),
-            st("disk", 0.01, RateFunction::SingleServer),
-            st("lan", 0.005, RateFunction::Delay),
-        ];
-        let mut it = ConvIter::new(stations, 0.7, vec![0, 0, 0]).unwrap();
-        for i in 0..n {
+    #[test]
+    fn streaming_iterator_snapshot_resumes_bit_for_bit() {
+        let full: MvaSolution = ConvIter::new(&mixed_network()).unwrap().drain(120).unwrap();
+        assert_eq!(full.points.len(), 120);
+
+        // Snapshot mid-sweep, resume, and land on the same floats.
+        let mut it = ConvIter::new(&mixed_network()).unwrap();
+        for i in 0..60 {
             let p = it.step().unwrap();
-            assert_eq!(p, reference.points[i]);
+            assert_eq!(p, full.points[i]);
         }
-        it
+        let snap = it.snapshot();
+        let tail_direct = it.drain(120).unwrap();
+        let tail_resumed = snap.resume().drain(120).unwrap();
+        assert_eq!(tail_direct, tail_resumed);
+        assert_eq!(&full.points[60..], tail_direct.points.as_slice());
+    }
+
+    #[test]
+    fn station_lowering_keeps_demand_and_rate_model() {
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 2.0, 0.01),
+                Station::load_dependent("fes", 1.0, 0.3, vec![1.0, 1.8]),
+            ],
+            1.0,
+        )
+        .unwrap();
+        let conv: Vec<ConvStation> = net.stations().iter().map(ConvStation::from).collect();
+        assert_eq!(conv[0].name, "cpu");
+        assert_eq!(conv[0].demand, 0.02);
+        assert_eq!(conv[0].rate, RateFunction::MultiServer(4));
+        assert_eq!(conv[1].rate, RateFunction::Custom(vec![1.0, 1.8]));
     }
 
     #[test]
     fn custom_rate_function_supported() {
         // A "2.5-way effective" station: rates 1, 1.8, 2.5 then flat.
         let stations = vec![st("s", 0.1, RateFunction::Custom(vec![1.0, 1.8, 2.5]))];
-        let sol = solve(&stations, 0.2, 200, &[0]).unwrap();
+        let sol = series(&stations, 0.2, 200, &[0]);
         let cap = 2.5 / 0.1;
         let mut prev = 0.0;
         for &x in &sol.x {
@@ -446,7 +401,7 @@ mod tests {
             st("tiny", 1e-5, RateFunction::SingleServer),
             st("lan", 0.5, RateFunction::Delay),
         ];
-        let sol = solve(&stations, 1.5, 50, &[0, 0]).unwrap();
+        let sol = series(&stations, 1.5, 50, &[0, 0]);
         for n in 1..=50usize {
             let expect = n as f64 / 2.0; // ~ n/(1.5 + 0.5)
             let x = sol.x[n - 1];
@@ -459,7 +414,7 @@ mod tests {
         // Zⁿ/n! for n = 3000 spans hundreds of orders of magnitude; the
         // log-domain evaluation must sail through.
         let stations = vec![st("s", 0.01, RateFunction::SingleServer)];
-        let sol = solve(&stations, 10.0, 3000, &[0]).unwrap();
+        let sol = series(&stations, 10.0, 3000, &[0]);
         assert!(sol.x[2999].is_finite());
         assert!(sol.x[2999] <= 100.0 + 1e-6);
         assert!(sol.x[2999] > 99.0);

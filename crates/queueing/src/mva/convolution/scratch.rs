@@ -13,8 +13,9 @@
 //!    speedup against exactly this per-step path (the pre-workspace cost
 //!    model), so the recorded ratio is honest.
 
-use super::super::loaddep::{validated_conv_stations, LdStation, RateFunction};
+use super::super::loaddep::RateFunction;
 use super::{ConvStation, PointSolution};
+use crate::network::ClosedNetwork;
 use crate::QueueingError;
 
 /// `ln Σ exp(aᵢ)` over the pairwise products of a convolution cell:
@@ -162,17 +163,16 @@ pub(crate) fn solve_at(
 }
 
 /// Public face of the reference path: from-scratch single-population solve
-/// over validated [`LdStation`]s. Exists so benchmarks and property tests
-/// outside this crate can compare the incremental workspace against an
-/// independent evaluation.
+/// of a network. Exists so benchmarks and property tests outside this
+/// crate can compare the incremental workspace against an independent
+/// evaluation.
 pub fn reference_solve_at(
-    stations: &[LdStation],
-    think_time: f64,
+    net: &ClosedNetwork,
     n: usize,
     marginal_limits: &[usize],
 ) -> Result<PointSolution, QueueingError> {
-    let conv = validated_conv_stations(stations, think_time)?;
-    solve_at(&conv, think_time, n, marginal_limits)
+    let conv: Vec<ConvStation> = net.stations().iter().map(ConvStation::from).collect();
+    solve_at(&conv, net.think_time(), n, marginal_limits)
 }
 
 #[cfg(test)]
@@ -209,10 +209,10 @@ mod tests {
 
     #[test]
     fn reference_face_validates_and_solves() {
-        let good = [LdStation::new("s", 0.1, RateFunction::SingleServer)];
-        let (x, _, _) = reference_solve_at(&good, 1.0, 10, &[0]).unwrap();
+        use crate::network::Station;
+        let net = ClosedNetwork::new(vec![Station::queueing("s", 1, 1.0, 0.1)], 1.0).unwrap();
+        let (x, _, _) = reference_solve_at(&net, 10, &[0]).unwrap();
         assert!(x > 0.0 && x.is_finite());
-        let bad = [LdStation::new("s", -1.0, RateFunction::SingleServer)];
-        assert!(reference_solve_at(&bad, 1.0, 10, &[0]).is_err());
+        assert!(reference_solve_at(&net, 0, &[0]).is_err());
     }
 }

@@ -45,9 +45,10 @@
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
 
-use super::super::loaddep::{validated_conv_stations, LdStation, RateFunction};
+use super::super::loaddep::RateFunction;
 use super::kernel::{self, lse2};
 use super::ConvStation;
+use crate::network::ClosedNetwork;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
@@ -188,16 +189,12 @@ pub struct ConvWorkspace {
 }
 
 impl ConvWorkspace {
-    /// Builds a workspace over validated load-dependent stations.
+    /// Builds a workspace over a network's stations and think time.
     /// `marginal_limits[k]` requests the first `limit` marginal
     /// probabilities per population (0 = skip; missing entries = 0).
-    pub fn new(
-        stations: &[LdStation],
-        think_time: f64,
-        marginal_limits: &[usize],
-    ) -> Result<Self, QueueingError> {
-        let conv = validated_conv_stations(stations, think_time)?;
-        Self::from_conv(conv, think_time, marginal_limits.to_vec())
+    pub fn new(net: &ClosedNetwork, marginal_limits: &[usize]) -> Result<Self, QueueingError> {
+        let stations = net.stations().iter().map(ConvStation::from).collect();
+        Self::from_conv(stations, net.think_time(), marginal_limits.to_vec())
     }
 
     pub(crate) fn from_conv(
@@ -594,6 +591,9 @@ impl ConvWorkspace {
     /// Demand equality is bitwise: the quasi-static caller hands back the
     /// exact floats it got from the interpolator, so an epsilon would only
     /// blur the rebuild accounting.
+    ///
+    /// A NaN, infinite or negative demand is rejected before anything is
+    /// touched, so the workspace stays usable after the error.
     pub fn solve_at(&mut self, n: usize, demands: &[f64]) -> Result<(), QueueingError> {
         if n == 0 {
             return Err(QueueingError::InvalidParameter {
@@ -603,6 +603,11 @@ impl ConvWorkspace {
         if demands.len() != self.stations.len() {
             return Err(QueueingError::InvalidParameter {
                 what: "demand vector length does not match the station count",
+            });
+        }
+        if !demands.iter().all(|d| d.is_finite() && *d >= 0.0) {
+            return Err(QueueingError::InvalidParameter {
+                what: "demand must be finite and >= 0",
             });
         }
         let changed = self
@@ -894,13 +899,66 @@ mod tests {
     }
 
     #[test]
-    fn public_face_validates_stations() {
-        let good = [LdStation::new("s", 0.1, RateFunction::SingleServer)];
-        let mut ws = ConvWorkspace::new(&good, 1.0, &[0]).unwrap();
-        ws.advance().unwrap();
-        assert!(ws.throughput() > 0.0);
-        let bad = [LdStation::new("s", f64::NAN, RateFunction::SingleServer)];
-        assert!(ConvWorkspace::new(&bad, 1.0, &[0]).is_err());
+    fn public_face_builds_from_a_network() {
+        use crate::network::Station;
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 1.0, 0.02),
+                Station::load_dependent("fes", 1.0, 0.1, vec![1.0, 1.8, 2.4]),
+            ],
+            1.0,
+        )
+        .unwrap();
+        let mut public = ConvWorkspace::new(&net, &[4]).unwrap();
+        let stations = [
+            st("cpu", 0.02, RateFunction::MultiServer(4)),
+            st("fes", 0.1, RateFunction::Custom(vec![1.0, 1.8, 2.4])),
+        ];
+        let mut internal = ws_of(&stations, 1.0, &[4, 0]);
+        for _ in 0..40 {
+            public.advance().unwrap();
+            internal.advance().unwrap();
+            assert_eq!(
+                public.throughput().to_bits(),
+                internal.throughput().to_bits()
+            );
+            assert_eq!(public.marginals_of(0), internal.marginals_of(0));
+            assert!(public.marginals_of(1).is_empty());
+        }
+    }
+
+    /// Hostile demands are rejected, not evaluated: NaN and ∞ used to
+    /// yield X = NaN and a negative demand was silently read as zero.
+    #[test]
+    fn solve_at_rejects_non_finite_and_negative_demands() {
+        let stations = [
+            st("cpu", 0.02, RateFunction::MultiServer(4)),
+            st("disk", 0.012, RateFunction::SingleServer),
+            st("lan", 0.004, RateFunction::Delay),
+        ];
+        let good = [0.02, 0.012, 0.004];
+        let mut ws = ws_of(&stations, 1.0, &[0, 0, 0]);
+        ws.solve_at(5, &good).unwrap();
+        let x5 = ws.throughput();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
+            for k in 0..3 {
+                let mut demands = good;
+                demands[k] = bad;
+                let err = ws.solve_at(5, &demands).unwrap_err();
+                assert!(
+                    matches!(err, QueueingError::InvalidParameter { .. }),
+                    "{bad} at {k}: {err:?}"
+                );
+            }
+        }
+        // The rejected calls touched nothing: the carried state still
+        // serves the good demands, bit for bit.
+        ws.solve_at(5, &good).unwrap();
+        assert_eq!(ws.throughput().to_bits(), x5.to_bits());
+        ws.solve_at(6, &good).unwrap();
+        let mut fresh = ws_of(&stations, 1.0, &[0, 0, 0]);
+        fresh.solve_at(6, &good).unwrap();
+        assert_eq!(ws.throughput().to_bits(), fresh.throughput().to_bits());
     }
 
     #[test]

@@ -1,34 +1,36 @@
-//! Exact load-dependent analysis.
+//! Load-dependent stations: the rate model of the convolution engine.
 //!
-//! The textbook-exact treatment of stations whose service *rate* depends on
-//! the local queue length. A multi-server station is the special case
-//! `rate(j) = min(j, C)`, which makes this solver the gold standard the
-//! paper's Algorithm 2 is validated against in the tests and ablation
-//! benches. The paper mentions exactly this capability existing in JMT ("a
-//! load-dependent array of service demands has been proposed and
-//! implemented in … JMT [17]").
+//! A station whose service *rate* depends on the local queue length is a
+//! [`StationKind::LoadDependent`] in a [`ClosedNetwork`](crate::network::ClosedNetwork);
+//! a `C`-server queue is the special case `rate(j) = min(j, C)` and a delay
+//! station `rate(j) = j`. [`RateFunction`] is the crate-internal lowering
+//! of every [`StationKind`] to that one shape, which is all the
+//! normalization-constant engine in [`super::convolution`] needs, so
+//! [`super::multiserver_mva`] and [`super::MultiserverMvaSolver`] solve
+//! any mix of queueing, delay and load-dependent stations exactly. This is
+//! the capability the paper attributes to JMT ("a load-dependent array of
+//! service demands has been proposed and implemented in … JMT [17]"), and
+//! the shape a Norton flow-equivalent server takes in the `hierarchy`
+//! module.
 //!
-//! The evaluation goes through the normalization-constant (convolution)
-//! route in log-domain (see [`super::convolution`] internals): the naive
-//! population recursion for load-dependent stations is numerically unstable
-//! near saturation — its `p(0) = 1 − Σ…` closure cancels catastrophically
-//! and the recursion amplifies round-off exponentially — while the
-//! convolution form is a ratio of positive sums and is stable at any
-//! population.
+//! The naive population recursion for load-dependent stations is
+//! numerically unstable near saturation — its `p(0) = 1 − Σ…` closure
+//! cancels catastrophically and the recursion amplifies round-off
+//! exponentially — while the log-domain convolution form is a ratio of
+//! positive sums and is stable at any population.
 //!
 //! Note this models *rate* dependence on the **local** queue length; the
 //! paper's MVASD models *demand* dependence on the **global** population,
 //! which is a different (and weaker-studied) axis — see `mvasd-core`.
 
 use crate::network::StationKind;
-use crate::QueueingError;
-
-use super::convolution::{solve, to_mva_solution, ConvStation};
-use super::MvaSolution;
 
 /// How a station's aggregate service rate scales with its queue length.
+/// Built from a validated [`StationKind`] or a flow-equivalent server's
+/// throughput profile, so server counts are positive and tables are
+/// non-empty, finite and positive.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RateFunction {
+pub(crate) enum RateFunction {
     /// Constant-rate single server: `rate(j) = 1`.
     SingleServer,
     /// `C` parallel servers: `rate(j) = min(j, C)`.
@@ -42,7 +44,7 @@ pub enum RateFunction {
 
 impl RateFunction {
     /// The rate multiplier with `j ≥ 1` jobs present.
-    pub fn rate(&self, j: usize) -> f64 {
+    pub(crate) fn rate(&self, j: usize) -> f64 {
         debug_assert!(j >= 1);
         match self {
             RateFunction::SingleServer => 1.0,
@@ -55,29 +57,12 @@ impl RateFunction {
     /// The saturation multiplier (`lim_{j→∞} rate(j)`), used for
     /// utilization reporting. `None` for delay stations (they never
     /// saturate).
-    pub fn max_rate(&self) -> Option<f64> {
+    pub(crate) fn max_rate(&self) -> Option<f64> {
         match self {
             RateFunction::SingleServer => Some(1.0),
             RateFunction::MultiServer(c) => Some(*c as f64),
             RateFunction::Delay => None,
             RateFunction::Custom(t) => t.iter().cloned().reduce(f64::max),
-        }
-    }
-
-    fn validate(&self) -> Result<(), QueueingError> {
-        match self {
-            RateFunction::MultiServer(0) => Err(QueueingError::InvalidParameter {
-                what: "multi-server station needs >= 1 server",
-            }),
-            RateFunction::Custom(t) if t.is_empty() => Err(QueueingError::InvalidParameter {
-                what: "custom rate table must be non-empty",
-            }),
-            RateFunction::Custom(t) if t.iter().any(|r| !(r.is_finite() && *r > 0.0)) => {
-                Err(QueueingError::InvalidParameter {
-                    what: "custom rates must be finite and > 0",
-                })
-            }
-            _ => Ok(()),
         }
     }
 }
@@ -95,86 +80,10 @@ impl From<&StationKind> for RateFunction {
     }
 }
 
-/// A station of the load-dependent network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LdStation {
-    /// Human-readable identifier.
-    pub name: String,
-    /// Service demand `D_k = V_k·S_k` at rate multiplier 1.
-    pub demand: f64,
-    /// Queue-length dependent rate multiplier.
-    pub rate: RateFunction,
-}
-
-impl LdStation {
-    /// Convenience constructor.
-    pub fn new(name: &str, demand: f64, rate: RateFunction) -> Self {
-        Self {
-            name: name.to_string(),
-            demand,
-            rate,
-        }
-    }
-}
-
-/// Validates a load-dependent model and lowers it to the convolution
-/// layer's station form. Shared by the batch solve and the streaming
-/// solver entry point.
-pub(crate) fn validated_conv_stations(
-    stations: &[LdStation],
-    think_time: f64,
-) -> Result<Vec<ConvStation>, QueueingError> {
-    if stations.is_empty() {
-        return Err(QueueingError::EmptyNetwork);
-    }
-    if !(think_time.is_finite() && think_time >= 0.0) {
-        return Err(QueueingError::InvalidParameter {
-            what: "think time must be finite and >= 0",
-        });
-    }
-    for s in stations {
-        if !(s.demand.is_finite() && s.demand >= 0.0) {
-            return Err(QueueingError::InvalidParameter {
-                what: "demand must be finite and >= 0",
-            });
-        }
-        s.rate.validate()?;
-    }
-    // lint: float-eq-ok validation rejects the exact all-zero-demand, zero-think-time input
-    if stations.iter().all(|s| s.demand == 0.0) && think_time == 0.0 {
-        return Err(QueueingError::InvalidParameter {
-            what: "network needs positive demand or think time",
-        });
-    }
-    Ok(stations
-        .iter()
-        .map(|s| ConvStation {
-            name: s.name.clone(),
-            demand: s.demand,
-            rate: s.rate.clone(),
-        })
-        .collect())
-}
-
-/// Runs exact load-dependent analysis up to population `n_max`.
-/// `n_max = 0` yields an empty solution (the model is still validated).
-///
-/// Complexity `O(N² · K)` log-sum-exp operations and `O(N · K)` memory.
-pub fn load_dependent_mva(
-    stations: &[LdStation],
-    think_time: f64,
-    n_max: usize,
-) -> Result<MvaSolution, QueueingError> {
-    let conv = validated_conv_stations(stations, think_time)?;
-    let limits = vec![0usize; conv.len()];
-    let sol = solve(&conv, think_time, n_max, &limits)?;
-    Ok(to_mva_solution(&conv, think_time, &sol))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::exact_mva;
+    use crate::mva::{exact_mva, multiserver_mva, ClosedSolver, MultiserverMvaSolver};
     use crate::network::{ClosedNetwork, Station};
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
@@ -183,10 +92,14 @@ mod tests {
 
     #[test]
     fn single_server_matches_algorithm_1() {
-        let ld = vec![
-            LdStation::new("cpu", 0.006, RateFunction::SingleServer),
-            LdStation::new("disk", 0.010, RateFunction::SingleServer),
-        ];
+        let table = ClosedNetwork::new(
+            vec![
+                Station::load_dependent("cpu", 1.0, 0.006, vec![1.0]),
+                Station::load_dependent("disk", 1.0, 0.010, vec![1.0]),
+            ],
+            1.0,
+        )
+        .unwrap();
         let net = ClosedNetwork::new(
             vec![
                 Station::queueing("cpu", 1, 1.0, 0.006),
@@ -195,7 +108,7 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let a = load_dependent_mva(&ld, 1.0, 150).unwrap();
+        let a = multiserver_mva(&table, 150).unwrap();
         let b = exact_mva(&net, 150).unwrap();
         for (pa, pb) in a.points.iter().zip(b.points.iter()) {
             assert!(close(pa.throughput, pb.throughput, 1e-9), "n={}", pa.n);
@@ -206,11 +119,12 @@ mod tests {
 
     #[test]
     fn multiserver_matches_machine_repair_exactly() {
-        // This solver must be EXACT for the machine-repair model (unlike
-        // the paper's Algorithm 2, which approximates the marginals).
+        // The convolution engine is EXACT for the machine-repair model
+        // (unlike the carried eq. 10 recursion, which approximates the
+        // marginals near saturation).
         let (c, s, z) = (4usize, 0.25f64, 1.0f64);
-        let ld = vec![LdStation::new("st", s, RateFunction::MultiServer(c))];
-        let sol = load_dependent_mva(&ld, z, 60).unwrap();
+        let net = ClosedNetwork::new(vec![Station::queueing("st", c, 1.0, s)], z).unwrap();
+        let sol = multiserver_mva(&net, 60).unwrap();
         for n in 1..=60usize {
             let (x_exact, q_exact) = mvasd_numerics::erlang::machine_repair(n, c, s, z).unwrap();
             let p = sol.at(n).unwrap();
@@ -221,11 +135,15 @@ mod tests {
 
     #[test]
     fn delay_rate_function_means_no_queueing() {
-        let ld = vec![
-            LdStation::new("cpu", 0.01, RateFunction::SingleServer),
-            LdStation::new("lan", 0.005, RateFunction::Delay),
-        ];
-        let sol = load_dependent_mva(&ld, 0.5, 80).unwrap();
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 1, 1.0, 0.01),
+                Station::delay("lan", 1.0, 0.005),
+            ],
+            0.5,
+        )
+        .unwrap();
+        let sol = multiserver_mva(&net, 80).unwrap();
         for p in &sol.points {
             // Delay station residence stays at the raw demand.
             assert!(close(p.stations[1].residence, 0.005, 1e-9), "n={}", p.n);
@@ -234,8 +152,8 @@ mod tests {
 
     #[test]
     fn marginal_distributions_are_probabilities() {
-        let ld = vec![LdStation::new("st", 0.2, RateFunction::MultiServer(3))];
-        let sol = load_dependent_mva(&ld, 1.0, 30).unwrap();
+        let net = ClosedNetwork::new(vec![Station::queueing("st", 3, 1.0, 0.2)], 1.0).unwrap();
+        let sol = multiserver_mva(&net, 30).unwrap();
         // Conservation: queue + thinking = n.
         for p in &sol.points {
             let thinking = p.throughput * 1.0;
@@ -246,12 +164,12 @@ mod tests {
     #[test]
     fn custom_rate_interpolates_between_regimes() {
         // Rates 1, 1.8, 2.4 then flat: a "2.4-way" station with overhead.
-        let ld = vec![LdStation::new(
-            "st",
-            0.1,
-            RateFunction::Custom(vec![1.0, 1.8, 2.4]),
-        )];
-        let sol = load_dependent_mva(&ld, 0.2, 100).unwrap();
+        let net = ClosedNetwork::new(
+            vec![Station::load_dependent("st", 1.0, 0.1, vec![1.0, 1.8, 2.4])],
+            0.2,
+        )
+        .unwrap();
+        let sol = MultiserverMvaSolver::new(net).solve(100).unwrap();
         // Ceiling: 2.4 / 0.1 = 24/s.
         assert!(sol.last().throughput <= 24.0 + 1e-9);
         assert!(sol.last().throughput > 23.0);
@@ -259,29 +177,40 @@ mod tests {
 
     #[test]
     fn utilization_capped_at_one() {
-        let ld = vec![LdStation::new("st", 0.5, RateFunction::MultiServer(8))];
-        let sol = load_dependent_mva(&ld, 0.1, 300).unwrap();
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("st", 8, 1.0, 0.5),
+                Station::load_dependent("fes", 1.0, 0.5, vec![1.0, 1.5, 2.0]),
+            ],
+            0.1,
+        )
+        .unwrap();
+        let sol = multiserver_mva(&net, 300).unwrap();
         for p in &sol.points {
             assert!(p.stations[0].utilization <= 1.0 + 1e-9);
+            assert!(p.stations[1].utilization <= 1.0 + 1e-9);
         }
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(load_dependent_mva(&[], 1.0, 10).is_err());
-        let ld = vec![LdStation::new("s", 0.1, RateFunction::SingleServer)];
-        // Zero population: valid empty sweep, but invalid models still fail.
-        assert!(load_dependent_mva(&ld, 1.0, 0).unwrap().points.is_empty());
-        assert!(load_dependent_mva(&ld, -1.0, 0).is_err());
-        assert!(load_dependent_mva(&ld, -1.0, 10).is_err());
-        let bad = vec![LdStation::new("s", 0.1, RateFunction::MultiServer(0))];
-        assert!(load_dependent_mva(&bad, 1.0, 10).is_err());
-        let bad = vec![LdStation::new("s", 0.1, RateFunction::Custom(vec![]))];
-        assert!(load_dependent_mva(&bad, 1.0, 10).is_err());
-        let bad = vec![LdStation::new("s", 0.1, RateFunction::Custom(vec![0.0]))];
-        assert!(load_dependent_mva(&bad, 1.0, 10).is_err());
-        let bad = vec![LdStation::new("s", f64::NAN, RateFunction::SingleServer)];
-        assert!(load_dependent_mva(&bad, 1.0, 10).is_err());
+        // Invalid models are rejected where they are built, so no solver
+        // ever sees one.
+        let bad_rates: [Vec<f64>; 4] = [vec![], vec![0.0], vec![1.0, -2.0], vec![f64::NAN]];
+        for rates in bad_rates {
+            let st = Station::load_dependent("s", 1.0, 0.1, rates.clone());
+            assert!(ClosedNetwork::new(vec![st], 1.0).is_err(), "{rates:?}");
+        }
+        let ok = || vec![Station::load_dependent("s", 1.0, 0.1, vec![1.0, 2.0])];
+        assert!(ClosedNetwork::new(vec![], 1.0).is_err());
+        assert!(ClosedNetwork::new(vec![Station::queueing("s", 0, 1.0, 0.1)], 1.0).is_err());
+        assert!(ClosedNetwork::new(ok(), -1.0).is_err());
+        assert!(ClosedNetwork::new(ok(), f64::NAN).is_err());
+        let nan_demand = Station::load_dependent("s", 1.0, f64::NAN, vec![1.0]);
+        assert!(ClosedNetwork::new(vec![nan_demand], 1.0).is_err());
+        // Zero population: valid empty sweep.
+        let net = ClosedNetwork::new(ok(), 1.0).unwrap();
+        assert!(multiserver_mva(&net, 0).unwrap().points.is_empty());
     }
 
     #[test]
@@ -296,5 +225,9 @@ mod tests {
         assert_eq!(c.rate(10), 1.5);
         assert_eq!(RateFunction::MultiServer(4).max_rate(), Some(4.0));
         assert_eq!(RateFunction::Delay.max_rate(), None);
+        assert_eq!(
+            RateFunction::from(&StationKind::Queueing { servers: 1 }),
+            RateFunction::SingleServer
+        );
     }
 }

@@ -18,7 +18,7 @@ mod stepping;
 
 pub use convolution::{kernel, reference_solve_at, ConvWorkspace, PointSolution};
 pub use exact::{exact_mva, ExactMvaIter};
-pub use loaddep::{load_dependent_mva, LdStation, RateFunction};
+pub(crate) use loaddep::RateFunction;
 pub use multiclass::{
     backend_divergence, multiclass_mva, run_until_classes, ClassMetrics, ClassPoint,
     ClassRunOutcome, ClassSpec, ClassStopReason, MomIter, MomSolver, MulticlassIter,
@@ -30,10 +30,7 @@ pub use multiserver::{
 };
 pub use schedule::{DemandSchedule, ScheduledNetwork};
 pub use schweitzer::{schweitzer_mva, SchweitzerIter, SchweitzerOptions};
-pub use solver::{
-    ClosedSolver, ConvolutionSolver, ExactMvaSolver, LoadDependentSolver, MultiserverMvaSolver,
-    SchweitzerSolver,
-};
+pub use solver::{ClosedSolver, ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver};
 pub use stepping::{
     run_until, MvaPoint, RunOutcome, SolverIter, SolverState, StopCondition, StopReason,
 };

@@ -48,11 +48,11 @@ use mvasd_obsv as obsv;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::QueueingError;
 
-use super::convolution::{solve, to_mva_solution, ConvStation, ConvWorkspace};
+use super::convolution::{ConvStation, ConvWorkspace};
 use super::loaddep::RateFunction;
 use super::schedule::ScheduledNetwork;
 use super::stepping::{MvaPoint, SolverIter};
-use super::{MvaSolution, StationPoint};
+use super::{ClosedSolver, MultiserverMvaSolver, MvaSolution, StationPoint};
 
 /// Snapshot history of the marginal queue-length probabilities of one
 /// station (the entries that drive the eq. 10 correction).
@@ -77,59 +77,62 @@ impl MarginalTrace {
     }
 }
 
-pub(crate) fn conv_stations(net: &ClosedNetwork) -> Vec<ConvStation> {
-    net.stations()
-        .iter()
-        .map(|s| ConvStation {
-            name: s.name.clone(),
-            demand: s.demand(),
-            rate: RateFunction::from(&s.kind),
-        })
-        .collect()
-}
-
-/// Runs exact multi-server MVA (paper Algorithm 2) up to `n_max`. The
-/// series is produced by draining the incremental convolution state (see
-/// [`super::convolution`]); `n_max = 0` yields an empty solution.
+/// Runs exact multi-server MVA (paper Algorithm 2) up to `n_max`: a drain
+/// of [`MultiserverMvaSolver`], which steps the incremental convolution
+/// state (a [`ConvWorkspace`]). Queueing, delay and load-dependent
+/// (rate-table) stations are all exact. `n_max = 0` yields an empty
+/// solution.
 pub fn multiserver_mva(net: &ClosedNetwork, n_max: usize) -> Result<MvaSolution, QueueingError> {
-    let conv = conv_stations(net);
-    let limits = vec![0usize; conv.len()];
-    let sol = solve(&conv, net.think_time(), n_max, &limits)?;
-    Ok(to_mva_solution(&conv, net.think_time(), &sol))
+    MultiserverMvaSolver::new(net.clone()).solve(n_max)
 }
 
 /// As [`multiserver_mva`], additionally recording the marginal-probability
 /// history of `trace_station` — the data behind the paper's Fig. 3
 /// ("Marginal Probability of a CPU Core being busy with increasing
-/// Concurrency").
+/// Concurrency"). A queueing station traces `p(0..C−1)`, a load-dependent
+/// station its whole rate table; a delay station has no queue-length
+/// marginals and is rejected, as is an out-of-range index.
 pub fn multiserver_mva_with_marginals(
     net: &ClosedNetwork,
     n_max: usize,
     trace_station: usize,
 ) -> Result<(MvaSolution, MarginalTrace), QueueingError> {
-    if trace_station >= net.stations().len() {
-        return Err(QueueingError::InvalidParameter {
-            what: "trace station index out of range",
-        });
-    }
-    let conv = conv_stations(net);
-    let mut limits = vec![0usize; conv.len()];
-    limits[trace_station] = match &net.stations()[trace_station].kind {
-        StationKind::Queueing { servers } => *servers,
-        StationKind::Delay => 0,
+    let limit = match net.stations().get(trace_station).map(|s| &s.kind) {
+        None => {
+            return Err(QueueingError::InvalidParameter {
+                what: "trace station index out of range",
+            })
+        }
+        Some(StationKind::Delay) => {
+            return Err(QueueingError::InvalidParameter {
+                what: "a delay station has no queue-length marginals to trace",
+            })
+        }
+        Some(StationKind::Queueing { servers }) => *servers,
         // Track the whole occupancy table of an aggregated station.
-        StationKind::LoadDependent { rates } => rates.len(),
+        Some(StationKind::LoadDependent { rates }) => rates.len(),
     };
-    let sol = solve(&conv, net.think_time(), n_max, &limits)?;
-    let history = sol.marginals[trace_station].clone();
-    let mva = to_mva_solution(&conv, net.think_time(), &sol);
-    Ok((
-        mva,
-        MarginalTrace {
-            station: trace_station,
-            history,
-        },
-    ))
+    let limits: Vec<usize> = (0..net.stations().len())
+        .map(|k| if k == trace_station { limit } else { 0 })
+        .collect();
+    let mut ws = ConvWorkspace::new(net, &limits)?;
+    ws.reserve(n_max);
+    let mut points = Vec::with_capacity(n_max);
+    let mut history = Vec::with_capacity(n_max);
+    for _ in 0..n_max {
+        ws.advance()?;
+        points.push(ws.point());
+        history.push(ws.marginals_of(trace_station).to_vec());
+    }
+    let solution = MvaSolution {
+        station_names: net.station_names(),
+        points,
+    };
+    let trace = MarginalTrace {
+        station: trace_station,
+        history,
+    };
+    Ok((solution, trace))
 }
 
 /// Per-server utilization above which a multi-server station is considered
@@ -152,8 +155,8 @@ const QUASI_STATIC_SWITCH: f64 = 0.5;
 /// convolution in [`multiserver_mva`]).
 ///
 /// Internally it runs the exact carried recursion (double-double state)
-/// while every multi-server station's utilization stays below
-/// [`QUASI_STATIC_SWITCH`], then switches permanently to per-step
+/// while every multi-server station's per-server utilization stays below
+/// 0.5 (`QUASI_STATIC_SWITCH`), then switches permanently to per-step
 /// quasi-static convolution solves: each step is solved as a constant-
 /// demand network frozen at that step's demand array — the numerically
 /// robust reading of the same algorithm, and the semantically right one
@@ -228,7 +231,7 @@ impl PopulationRecursion {
     /// Advances the carried state to population `n` with this step's
     /// demands; returns `(throughput, response, residences)` rounded to
     /// `f64`.
-    fn advance(&mut self, n: usize) -> (f64, f64, Vec<f64>) {
+    fn advance(&mut self, n: usize) -> Result<(f64, f64, Vec<f64>), QueueingError> {
         if self.quasi_static {
             return self.quasi_static_step(n);
         }
@@ -285,40 +288,42 @@ impl PopulationRecursion {
             self.p[k][0] = (Dd::ONE - (u + weighted) * (1.0 / c as f64)).max_zero();
         }
 
-        (
+        Ok((
             x.to_f64(),
             r_total.to_f64(),
             residence.iter().map(|r| r.to_f64()).collect(),
-        )
+        ))
     }
 
     /// One quasi-static step: exact constant-demand solve at population `n`
     /// with this step's demand array, served by the carried incremental
     /// workspace (same-demand steps extend in `O(K)`; demand changes
-    /// rebuild the carried columns in `O(K·n)`).
-    fn quasi_static_step(&mut self, n: usize) -> (f64, f64, Vec<f64>) {
-        if self.ws.is_none() {
-            let conv: Vec<ConvStation> = self
-                .net
-                .names
-                .iter()
-                .zip(&self.net.kinds)
-                .zip(&self.demands)
-                .map(|((name, kind), &d)| ConvStation {
-                    name: name.clone(),
-                    demand: d,
-                    rate: RateFunction::from(kind),
-                })
-                .collect();
-            let limits = vec![0; conv.len()];
-            self.ws = Some(
-                ConvWorkspace::from_conv(conv, self.net.think_time, limits)
-                    .expect("quasi-static workspace over a validated network"),
-            );
-        }
-        let ws = self.ws.as_mut().expect("just built");
-        ws.solve_at(n, &self.demands)
-            .expect("quasi-static solve of a validated network");
+    /// rebuild the carried columns in `O(K·n)`). A schedule that hands
+    /// back a NaN, infinite or negative demand gets the workspace's error.
+    fn quasi_static_step(&mut self, n: usize) -> Result<(f64, f64, Vec<f64>), QueueingError> {
+        let ws = match &mut self.ws {
+            Some(ws) => ws,
+            slot @ None => {
+                let conv = self
+                    .net
+                    .names
+                    .iter()
+                    .zip(&self.net.kinds)
+                    .zip(&self.demands)
+                    .map(|((name, kind), &d)| ConvStation {
+                        name: name.clone(),
+                        demand: d,
+                        rate: RateFunction::from(kind),
+                    })
+                    .collect();
+                slot.insert(ConvWorkspace::from_conv(
+                    conv,
+                    self.net.think_time,
+                    Vec::new(),
+                )?)
+            }
+        };
+        ws.solve_at(n, &self.demands)?;
         let x = ws.throughput();
         let queues = ws.queues();
         // The carried queues feed the yielded point; the marginals are
@@ -331,7 +336,7 @@ impl PopulationRecursion {
             .map(|q| if x > 0.0 { q / x } else { 0.0 })
             .collect();
         let r_total: f64 = residences.iter().sum();
-        (x, r_total, residences)
+        Ok((x, r_total, residences))
     }
 }
 
@@ -353,7 +358,7 @@ impl SolverIter for PopulationRecursion {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         self.net.schedule.fill(n, self.x_prev, &mut self.demands);
-        let (x, r_total, residence) = self.advance(n);
+        let (x, r_total, residence) = self.advance(n)?;
         self.x_prev = x;
 
         let station_points = (0..residence.len())
@@ -385,8 +390,9 @@ impl SolverIter for PopulationRecursion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::{exact_mva, load_dependent_mva, LdStation};
+    use crate::mva::{exact_mva, DemandSchedule};
     use crate::network::Station;
+    use std::sync::Arc;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
@@ -470,9 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_load_dependent_gold_standard() {
-        // Both go through the same convolution machinery now; this guards
-        // the station-kind translation.
+    fn agrees_with_the_rate_table_form_of_the_same_network() {
+        // A C-server queue is the rate table `min(j, C)`: spelled as a
+        // load-dependent station it takes the engine's rate-table stage
+        // instead of the multi-server/geometric ones. This guards the
+        // station-kind translation.
         let net = ClosedNetwork::new(
             vec![
                 Station::queueing("cpu16", 16, 1.0, 0.02),
@@ -481,16 +489,16 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let a2 = multiserver_mva(&net, 800).unwrap();
-        let ld = load_dependent_mva(
-            &[
-                LdStation::new("cpu16", 0.02, RateFunction::MultiServer(16)),
-                LdStation::new("disk", 0.002, RateFunction::SingleServer),
+        let table = ClosedNetwork::new(
+            vec![
+                Station::load_dependent("cpu16", 1.0, 0.02, (1..=16).map(f64::from).collect()),
+                Station::load_dependent("disk", 1.0, 0.002, vec![1.0]),
             ],
             1.0,
-            800,
         )
         .unwrap();
+        let a2 = multiserver_mva(&net, 800).unwrap();
+        let ld = multiserver_mva(&table, 800).unwrap();
         for (pa, pl) in a2.points.iter().zip(ld.points.iter()) {
             let rel = (pa.throughput - pl.throughput).abs() / pl.throughput;
             assert!(rel < 1e-12, "n={}", pa.n);
@@ -543,6 +551,52 @@ mod tests {
     fn trace_rejects_bad_station() {
         let net = ClosedNetwork::new(vec![Station::queueing("cpu", 4, 1.0, 0.1)], 1.0).unwrap();
         assert!(multiserver_mva_with_marginals(&net, 10, 1).is_err());
+    }
+
+    #[test]
+    fn trace_rejects_a_delay_station() {
+        // A delay station has no marginals: tracing it used to return an
+        // empty history, and `all_busy()[n - 1]` then panicked.
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 1.0, 0.1),
+                Station::delay("lan", 1.0, 0.01),
+            ],
+            1.0,
+        )
+        .unwrap();
+        assert!(matches!(
+            multiserver_mva_with_marginals(&net, 10, 1),
+            Err(QueueingError::InvalidParameter { .. })
+        ));
+        assert!(multiserver_mva_with_marginals(&net, 10, 0).is_ok());
+    }
+
+    #[test]
+    fn trace_drains_the_same_solution_as_the_plain_solve() {
+        let net = ClosedNetwork::new(
+            vec![
+                Station::load_dependent("fes", 1.0, 0.1, vec![1.0, 1.8, 2.4]),
+                Station::queueing("cpu", 4, 1.0, 0.02),
+                Station::queueing("disk", 1, 1.0, 0.012),
+                Station::delay("lan", 1.0, 0.004),
+            ],
+            1.0,
+        )
+        .unwrap();
+        let plain = multiserver_mva(&net, 120).unwrap();
+        for (k, width) in [(0usize, 3usize), (1, 4), (2, 1)] {
+            let (sol, trace) = multiserver_mva_with_marginals(&net, 120, k).unwrap();
+            // Tracing a rate-table station changes nothing; a traced
+            // single-server queue takes the marginal path, so only its
+            // throughput (the shared prefix chain) is bit-equal.
+            if k < 2 {
+                assert_eq!(sol, plain, "station {k}");
+            }
+            assert_eq!(sol.throughputs(), plain.throughputs(), "station {k}");
+            assert_eq!(trace.history.len(), 120);
+            assert!(trace.history.iter().all(|snap| snap.len() == width));
+        }
     }
 
     #[test]
@@ -693,6 +747,51 @@ mod tests {
         )
         .unwrap();
         assert!(PopulationRecursion::new(ld).is_err());
+    }
+
+    /// A user schedule whose demands turn hostile after `after` steps.
+    #[derive(Debug)]
+    struct TurnsHostile {
+        base: Vec<f64>,
+        after: usize,
+        bad: f64,
+    }
+
+    impl DemandSchedule for TurnsHostile {
+        fn fill(&self, n: usize, _x_prev: f64, out: &mut [f64]) {
+            out.copy_from_slice(&self.base);
+            if n > self.after {
+                out[0] = self.bad;
+            }
+        }
+    }
+
+    #[test]
+    fn quasi_static_step_returns_hostile_demand_errors() {
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 16, 1.0, 0.16),
+                Station::queueing("disk", 1, 1.0, 0.004),
+            ],
+            1.0,
+        )
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, -0.1] {
+            let schedule = TurnsHostile {
+                base: net.demands(),
+                after: 150,
+                bad,
+            };
+            let mut sched = ScheduledNetwork::from(&net);
+            sched.schedule = Arc::new(schedule);
+            let mut rec = PopulationRecursion::with_schedule(sched).unwrap();
+            rec.drain(150).unwrap();
+            assert!(rec.is_quasi_static(), "the switch fires before the knee");
+            assert!(
+                matches!(rec.step(), Err(QueueingError::InvalidParameter { .. })),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

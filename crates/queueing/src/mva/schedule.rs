@@ -91,14 +91,9 @@ impl ScheduledNetwork {
 /// A static network is the constant schedule of its own demands.
 impl From<&ClosedNetwork> for ScheduledNetwork {
     fn from(net: &ClosedNetwork) -> Self {
-        let stations = net.stations();
         Self {
-            names: stations
-                .iter()
-                .map(|s| s.name.clone())
-                .collect::<Vec<_>>()
-                .into(),
-            kinds: stations.iter().map(|s| s.kind.clone()).collect(),
+            names: net.station_names(),
+            kinds: net.stations().iter().map(|s| s.kind.clone()).collect(),
             think_time: net.think_time(),
             schedule: Arc::new(net.demands()),
         }

@@ -21,11 +21,9 @@
 
 use super::convolution::ConvIter;
 use super::exact::ExactMvaIter;
-use super::loaddep::validated_conv_stations;
-use super::multiserver::conv_stations;
 use super::schweitzer::SchweitzerIter;
 use super::stepping::SolverIter;
-use super::{LdStation, MvaSolution, RateFunction, SchweitzerOptions};
+use super::{MvaSolution, SchweitzerOptions};
 use crate::network::ClosedNetwork;
 use crate::QueueingError;
 
@@ -109,7 +107,13 @@ impl ClosedSolver for ExactMvaSolver {
     }
 }
 
-/// Exact multi-server MVA (paper Algorithm 2) over a static network.
+/// Exact multi-server MVA (paper Algorithm 2) over a static network,
+/// evaluated on the log-domain convolution engine. Exact for every
+/// station kind: a load-dependent station (a rate table, the shape of a
+/// Norton flow-equivalent server) is a [`StationKind::LoadDependent`] in
+/// the network, so this is also the exact load-dependent solver.
+///
+/// [`StationKind::LoadDependent`]: crate::network::StationKind::LoadDependent
 #[derive(Debug, Clone)]
 pub struct MultiserverMvaSolver {
     net: ClosedNetwork,
@@ -128,81 +132,7 @@ impl ClosedSolver for MultiserverMvaSolver {
     }
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        conv_iter(&self.net)
-    }
-}
-
-/// The convolution iterator over a static network, without marginals.
-fn conv_iter(net: &ClosedNetwork) -> Result<Box<dyn SolverIter>, QueueingError> {
-    let conv = conv_stations(net);
-    let limits = vec![0usize; conv.len()];
-    Ok(Box::new(ConvIter::new(conv, net.think_time(), limits)?))
-}
-
-/// Exact load-dependent MVA over arbitrary per-station rate functions.
-#[derive(Debug, Clone)]
-pub struct LoadDependentSolver {
-    stations: Vec<LdStation>,
-    think_time: f64,
-}
-
-impl LoadDependentSolver {
-    /// Binds the solver to explicit load-dependent stations.
-    pub fn new(stations: Vec<LdStation>, think_time: f64) -> Self {
-        Self {
-            stations,
-            think_time,
-        }
-    }
-
-    /// Derives the rate functions from a static network (single-server /
-    /// multi-server / delay stations).
-    pub fn from_network(net: &ClosedNetwork) -> Self {
-        let stations = net
-            .stations()
-            .iter()
-            .map(|s| LdStation::new(&s.name, s.demand(), RateFunction::from(&s.kind)))
-            .collect();
-        Self {
-            stations,
-            think_time: net.think_time(),
-        }
-    }
-}
-
-impl ClosedSolver for LoadDependentSolver {
-    fn name(&self) -> &str {
-        "load-dependent-mva"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        let conv = validated_conv_stations(&self.stations, self.think_time)?;
-        let limits = vec![0usize; conv.len()];
-        Ok(Box::new(ConvIter::new(conv, self.think_time, limits)?))
-    }
-}
-
-/// Buzen's convolution (normalization-constant) algorithm in log-domain,
-/// driven directly rather than through the load-dependent MVA wrapper.
-#[derive(Debug, Clone)]
-pub struct ConvolutionSolver {
-    net: ClosedNetwork,
-}
-
-impl ConvolutionSolver {
-    /// Binds the solver to a network.
-    pub fn new(net: ClosedNetwork) -> Self {
-        Self { net }
-    }
-}
-
-impl ClosedSolver for ConvolutionSolver {
-    fn name(&self) -> &str {
-        "convolution"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        conv_iter(&self.net)
+        Ok(Box::new(ConvIter::new(&self.net)?))
     }
 }
 
@@ -258,12 +188,26 @@ mod tests {
         .unwrap()
     }
 
+    /// `net` with every station spelled as a load-dependent rate table
+    /// (single-server stations as the table `[1.0]`).
+    fn as_rate_tables(net: &ClosedNetwork) -> ClosedNetwork {
+        let stations = net
+            .stations()
+            .iter()
+            .map(|s| {
+                let c = s.kind.server_count().unwrap_or(1);
+                let rates = (1..=c).map(|j| j as f64).collect();
+                Station::load_dependent(&s.name, s.visits, s.service_time, rates)
+            })
+            .collect();
+        ClosedNetwork::new(stations, net.think_time()).unwrap()
+    }
+
     fn solvers(net: &ClosedNetwork) -> Vec<Box<dyn ClosedSolver>> {
         vec![
             Box::new(ExactMvaSolver::new(net.clone())),
             Box::new(MultiserverMvaSolver::new(net.clone())),
-            Box::new(LoadDependentSolver::from_network(net)),
-            Box::new(ConvolutionSolver::new(net.clone())),
+            Box::new(MultiserverMvaSolver::new(as_rate_tables(net))),
         ]
     }
 
@@ -345,14 +289,13 @@ mod tests {
         )
         .unwrap();
         let ms = MultiserverMvaSolver::new(net.clone()).solve(60).unwrap();
-        let ld = LoadDependentSolver::from_network(&net).solve(60).unwrap();
-        let cv = ConvolutionSolver::new(net).solve(60).unwrap();
+        let ld = MultiserverMvaSolver::new(as_rate_tables(&net))
+            .solve(60)
+            .unwrap();
         for n in 1..=60 {
             let a = ms.at(n).unwrap().throughput;
             let b = ld.at(n).unwrap().throughput;
-            let c = cv.at(n).unwrap().throughput;
-            assert!((a - b).abs() < 1e-8, "ms vs ld at {n}");
-            assert!((b - c).abs() < 1e-12, "ld vs conv at {n}");
+            assert!((a - b).abs() < 1e-8, "ms vs rate tables at {n}");
         }
     }
 
@@ -364,22 +307,11 @@ mod tests {
             MultiserverMvaSolver::new(net.clone()).name(),
             "multiserver-mva"
         );
-        assert_eq!(
-            LoadDependentSolver::from_network(&net).name(),
-            "load-dependent-mva"
-        );
-        assert_eq!(ConvolutionSolver::new(net.clone()).name(), "convolution");
         assert_eq!(SchweitzerSolver::new(net).name(), "schweitzer-mva");
     }
 
     #[test]
     fn invalid_models_fail_at_start() {
-        let bad = LoadDependentSolver::new(
-            vec![LdStation::new("s", 0.1, RateFunction::MultiServer(0))],
-            1.0,
-        );
-        assert!(bad.start().is_err());
-        assert!(bad.solve(10).is_err());
         let bad_opts = SchweitzerSolver::new(single_server_net()).with_options(SchweitzerOptions {
             tolerance: 0.0,
             max_iterations: 10,

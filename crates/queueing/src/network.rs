@@ -198,6 +198,13 @@ impl ClosedNetwork {
         &self.stations
     }
 
+    /// Station names in declaration order, shared the way every
+    /// [`MvaSolution`](crate::mva::MvaSolution) carries them.
+    pub(crate) fn station_names(&self) -> std::sync::Arc<[String]> {
+        let names: Vec<String> = self.stations.iter().map(|s| s.name.clone()).collect();
+        names.into()
+    }
+
     /// Mean terminal think time `Z`.
     pub fn think_time(&self) -> f64 {
         self.think_time

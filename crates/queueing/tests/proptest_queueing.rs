@@ -5,10 +5,7 @@
 
 use mvasd_numerics::erlang::machine_repair;
 use mvasd_numerics::propcheck::{check, Config, Gen};
-use mvasd_queueing::mva::{
-    exact_mva, load_dependent_mva, multiclass_mva, multiserver_mva, ClassSpec, LdStation,
-    RateFunction,
-};
+use mvasd_queueing::mva::{exact_mva, multiclass_mva, multiserver_mva, ClassSpec};
 use mvasd_queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_queueing::open::solve_open;
 
@@ -51,13 +48,17 @@ fn load_dependent_reduces_to_exact_for_single_servers() {
                 z,
             )
             .unwrap();
-            let ld_stations: Vec<LdStation> = demands
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| LdStation::new(&format!("s{i}"), d, RateFunction::SingleServer))
-                .collect();
+            let rate_tables = ClosedNetwork::new(
+                demands
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| Station::load_dependent(&format!("s{i}"), 1.0, d, vec![1.0]))
+                    .collect(),
+                z,
+            )
+            .unwrap();
             let a = exact_mva(&net, n).unwrap();
-            let b = load_dependent_mva(&ld_stations, z, n).unwrap();
+            let b = multiserver_mva(&rate_tables, n).unwrap();
             for i in 1..=n {
                 let (xa, xb) = (a.at(i).unwrap().throughput, b.at(i).unwrap().throughput);
                 assert!((xa - xb).abs() <= 1e-8 * xa.max(1e-9), "n={i}");

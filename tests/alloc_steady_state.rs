@@ -13,10 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mvasd_suite::queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalWorkspace, Subsystem,
 };
-use mvasd_suite::queueing::mva::{
-    ClassSpec, ConvWorkspace, LdStation, MulticlassWorkspace, RateFunction, Workload,
-};
-use mvasd_suite::queueing::network::{Station, StationKind};
+use mvasd_suite::queueing::mva::{ClassSpec, ConvWorkspace, MulticlassWorkspace, Workload};
+use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 
 /// Counts every allocator entry point; deallocation is uncounted (freeing
 /// is fine in steady state, allocating is not).
@@ -52,14 +50,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn workspace_steady_state_allocates_nothing() {
     // VINS-shaped: a 16-core bottleneck with tracked marginals, a
     // single-server disk, and a delay stage — all three factor kinds.
-    let stations = [
-        LdStation::new("cpu16", 0.055, RateFunction::MultiServer(16)),
-        LdStation::new("disk", 0.0098, RateFunction::SingleServer),
-        LdStation::new("lan", 0.0014, RateFunction::Delay),
-    ];
-    let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+    let net = ClosedNetwork::new(
+        vec![
+            Station::queueing("cpu16", 16, 1.0, 0.055),
+            Station::queueing("disk", 1, 1.0, 0.0098),
+            Station::delay("lan", 1.0, 0.0014),
+        ],
+        1.0,
+    )
+    .unwrap();
+    let demands = net.demands();
 
-    let mut ws = ConvWorkspace::new(&stations, 1.0, &[16, 0, 0]).unwrap();
+    let mut ws = ConvWorkspace::new(&net, &[16, 0, 0]).unwrap();
     ws.reserve(1600);
 
     // Warm-up: fill the carried columns well past any lazy growth.

@@ -11,13 +11,13 @@ use mvasd_suite::queueing::hierarchy::{
     HierarchicalNetwork, HierarchicalSolver, NetworkNode, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    exact_mva, load_dependent_mva, multiclass_mva, multiserver_mva, schweitzer_mva, ClassSpec,
-    ClosedSolver, ConvolutionSolver, ExactMvaSolver, LdStation, LoadDependentSolver, MomSolver,
-    MultiserverMvaSolver, RateFunction, SchweitzerOptions, SchweitzerSolver,
+    exact_mva, multiclass_mva, multiserver_mva, schweitzer_mva, ClassSpec, ClosedSolver,
+    ExactMvaSolver, MomSolver, MultiserverMvaSolver, SchweitzerOptions, SchweitzerSolver,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::queueing::open::solve_open;
 use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation, Simulation};
+use mvasd_suite::testbed::apps::{jpetstore, vins};
 
 fn rel(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1e-12)
@@ -90,7 +90,8 @@ fn simulator_vs_mva_on_three_tier_network() {
 fn four_solvers_one_network() {
     // exact (single-server net), multiserver, load-dependent, Schweitzer:
     // all four on the same single-server network must coincide (Schweitzer
-    // within its approximation band).
+    // within its approximation band). The load-dependent solve is the
+    // multi-server engine over the stations spelled as rate tables `[1.0]`.
     let net = ClosedNetwork::new(
         vec![
             Station::queueing("a", 1, 1.0, 0.01),
@@ -102,15 +103,15 @@ fn four_solvers_one_network() {
     let n = 120;
     let e = exact_mva(&net, n).unwrap();
     let m = multiserver_mva(&net, n).unwrap();
-    let ld = load_dependent_mva(
-        &[
-            LdStation::new("a", 0.01, RateFunction::SingleServer),
-            LdStation::new("b", 0.016, RateFunction::SingleServer),
+    let rate_tables = ClosedNetwork::new(
+        vec![
+            Station::load_dependent("a", 1.0, 0.01, vec![1.0]),
+            Station::load_dependent("b", 1.0, 0.016, vec![1.0]),
         ],
         0.5,
-        n,
     )
     .unwrap();
+    let ld = multiserver_mva(&rate_tables, n).unwrap();
     let s = schweitzer_mva(&net, n, SchweitzerOptions::default()).unwrap();
     for i in 1..=n {
         let xe = e.at(i).unwrap().throughput;
@@ -219,11 +220,21 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
     )
     .unwrap();
 
+    // The same model with "b" as a load-dependent rate table: a table of
+    // ones is a single server, so the rate-table path joins the family.
+    let rate_tables = ClosedNetwork::new(
+        vec![
+            Station::queueing("a", 1, 1.0, 0.01),
+            Station::load_dependent("b", 1.0, 0.016, vec![1.0, 1.0]),
+        ],
+        0.5,
+    )
+    .unwrap();
+
     let exact_family: Vec<Box<dyn ClosedSolver>> = vec![
         Box::new(ExactMvaSolver::new(net.clone())),
         Box::new(MultiserverMvaSolver::new(net.clone())),
-        Box::new(LoadDependentSolver::from_network(&net)),
-        Box::new(ConvolutionSolver::new(net.clone())),
+        Box::new(MultiserverMvaSolver::new(rate_tables)),
         Box::new(HierarchicalSolver::new(hier)),
         Box::new(MvasdSolver::new(profile.clone())),
         Box::new(MvasdSolver::with_backend(
@@ -556,4 +567,18 @@ fn simulator_service_distribution_insensitivity_check() {
         erl.system.mean_response,
         exp.system.mean_response
     );
+}
+
+#[test]
+fn multiserver_mva_is_the_solver_drain_on_the_paper_networks() {
+    // `multiserver_mva` is a drain of `MultiserverMvaSolver`: whole
+    // solutions are bit-equal on the VINS (N = 1500) and JPetStore
+    // (N = 300) networks.
+    for (app, n) in [(vins::model(), 1500usize), (jpetstore::model(), 300)] {
+        let net = app.closed_network_at(n as f64).unwrap();
+        let batch = multiserver_mva(&net, n).unwrap();
+        let solved = MultiserverMvaSolver::new(net).solve(n).unwrap();
+        assert_eq!(batch.points.len(), n);
+        assert_eq!(batch, solved);
+    }
 }

@@ -1,5 +1,6 @@
 //! Cross-backend streaming guarantees: every solver in the workspace —
-//! the five static MVA solvers, the three MVASD variants, the
+//! the three static MVA solvers (the exact multi-server one also over a
+//! load-dependent rate-table network), the three MVASD variants, the
 //! hierarchical Norton-aggregation solver, and the discrete-event
 //! estimator — exposes a resumable population iterator
 //! whose stream is bit-for-bit the batch solution, survives
@@ -17,9 +18,9 @@ use mvasd_suite::queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    load_dependent_mva, run_until, ClassSpec, ClosedSolver, ConvWorkspace, ConvolutionSolver,
-    ExactMvaSolver, LdStation, LoadDependentSolver, MomSolver, MulticlassMvaSolver,
-    MultiserverMvaSolver, RateFunction, SchweitzerSolver, StopCondition, StopReason, Workload,
+    multiserver_mva, run_until, ClassSpec, ClosedSolver, ConvWorkspace, ExactMvaSolver, MomSolver,
+    MulticlassMvaSolver, MultiserverMvaSolver, SchweitzerSolver, StopCondition, StopReason,
+    Workload,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation};
@@ -35,6 +36,19 @@ fn network() -> ClosedNetwork {
         1.0,
     )
     .unwrap()
+}
+
+/// `network()` behind a load-dependent front station whose rate table
+/// `[1.0, 1.8, 2.4]` no queueing station can express.
+fn rate_table_network() -> ClosedNetwork {
+    let mut stations = vec![Station::load_dependent(
+        "fes",
+        1.0,
+        0.1,
+        vec![1.0, 1.8, 2.4],
+    )];
+    stations.extend_from_slice(network().stations());
+    ClosedNetwork::new(stations, 1.0).unwrap()
 }
 
 /// Falling cpu and disk demands, sampled at levels 1, 60 and 200 of
@@ -88,10 +102,11 @@ fn hierarchical_network() -> HierarchicalNetwork {
     .unwrap()
 }
 
-/// All ten backends, each paired with a population depth that keeps the
-/// suite fast (the DES backend runs one simulation per step). The three
-/// MVASD variants also run over a throughput-axis profile, whose carried
-/// `X_{n−1}` must survive snapshot/resume.
+/// Every backend, each paired with a population depth that keeps the
+/// suite fast (the DES backend runs one simulation per step). The exact
+/// multi-server solver also runs over a rate-table network, and the three
+/// MVASD variants over a throughput-axis profile, whose carried `X_{n−1}`
+/// must survive snapshot/resume.
 fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
     let net = network();
     let mut backends: Vec<(Box<dyn ClosedSolver>, usize)> = vec![
@@ -100,8 +115,10 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
             60,
         ),
         (Box::new(MultiserverMvaSolver::new(net.clone())), 60),
-        (Box::new(ConvolutionSolver::new(net.clone())), 60),
-        (Box::new(LoadDependentSolver::from_network(&net)), 60),
+        (
+            Box::new(MultiserverMvaSolver::new(rate_table_network())),
+            60,
+        ),
         (Box::new(SchweitzerSolver::new(net)), 60),
         (
             Box::new(HierarchicalSolver::new(hierarchical_network())),
@@ -125,7 +142,7 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
 }
 
 #[test]
-fn streaming_equals_batch_for_all_ten_backends() {
+fn streaming_equals_batch_for_every_backend() {
     for (solver, depth) in all_backends() {
         let batch = solver.solve(depth).unwrap();
         assert_eq!(batch.points.len(), depth, "{}", solver.name());
@@ -396,21 +413,17 @@ fn parallel_hierarchy_sweep_is_bit_identical_to_serial() {
 
 #[test]
 fn conv_workspace_stream_is_bit_identical_to_batch() {
-    // The incremental convolution workspace IS the batch path now, but this
+    // The incremental convolution workspace IS the batch path, but this
     // proves it from the outside: driving a ConvWorkspace one population at
-    // a time reproduces the batch load-dependent solve bit-for-bit, a
+    // a time reproduces the batch multi-server solve bit-for-bit, a
     // cloned (snapshotted) workspace resumes bit-identically, and reading
     // previously computed populations back (decreasing `solve_at`) returns
     // the same bits without disturbing the carried columns.
-    let stations = [
-        LdStation::new("cpu", 0.020, RateFunction::MultiServer(4)),
-        LdStation::new("disk", 0.012, RateFunction::SingleServer),
-        LdStation::new("lan", 0.004, RateFunction::Delay),
-    ];
+    let net = network();
     let depth = 120usize;
-    let batch = load_dependent_mva(&stations, 1.0, depth).unwrap();
+    let batch = multiserver_mva(&net, depth).unwrap();
 
-    let mut ws = ConvWorkspace::new(&stations, 1.0, &[4, 0, 0]).unwrap();
+    let mut ws = ConvWorkspace::new(&net, &[4, 0, 0]).unwrap();
     ws.reserve(depth);
     let mut snapshot: Option<ConvWorkspace> = None;
     let mut streamed_x = Vec::with_capacity(depth);
@@ -444,7 +457,7 @@ fn conv_workspace_stream_is_bit_identical_to_batch() {
 
     // Decreasing-population reads are served from the carried columns and
     // must not perturb them.
-    let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+    let demands = net.demands();
     for n in [depth, depth / 2, 3, 1, depth] {
         ws.solve_at(n, &demands).unwrap();
         assert_eq!(ws.throughput().to_bits(), streamed_x[n - 1].to_bits());
@@ -501,12 +514,24 @@ fn property_streaming_equals_batch_on_random_networks() {
             let net = ClosedNetwork::new(stations, g.f64_in(0.1, 2.0)).unwrap();
             let n_max = g.usize_in(2, 80);
             let cut = g.usize_in(1, n_max - 1);
+            // The same stations as random load-dependent rate tables.
+            let ramp = g.f64_in(0.3, 1.0);
+            let rate_tables = ClosedNetwork::new(
+                net.stations()
+                    .iter()
+                    .map(|s| {
+                        let rates = (0..3).map(|j| 1.0 + j as f64 * ramp).collect();
+                        Station::load_dependent(&s.name, s.visits, s.service_time, rates)
+                    })
+                    .collect(),
+                net.think_time(),
+            )
+            .unwrap();
 
             let solvers: Vec<Box<dyn ClosedSolver>> = vec![
                 Box::new(ExactMvaSolver::new(net.clone())),
                 Box::new(MultiserverMvaSolver::new(net.clone())),
-                Box::new(ConvolutionSolver::new(net.clone())),
-                Box::new(LoadDependentSolver::from_network(&net)),
+                Box::new(MultiserverMvaSolver::new(rate_tables)),
                 Box::new(SchweitzerSolver::new(net)),
             ];
             for solver in &solvers {
