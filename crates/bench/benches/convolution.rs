@@ -5,7 +5,8 @@
 //! paper's deepest concurrency). Two cost models are compared:
 //!
 //! - `workspace_sweep/N` — one [`ConvWorkspace`] carried across the whole
-//!   sweep: `O(K·n)` per step, zero steady-state allocation.
+//!   sweep: a fixed number of knee cells per step (each CPU cell a 16-term
+//!   window plus a telescoped tail), zero steady-state allocation.
 //! - `per_step_scratch_sweep/N` — the pre-workspace quasi-static path:
 //!   every population rebuilt from scratch (`O(K·n²)` per step), exactly
 //!   what `PopulationRecursion::quasi_static_step` used to do.

@@ -12,8 +12,8 @@
 //! compared:
 //!
 //! - `flat_exact_sweep/N` — [`MultiserverMvaSolver`] over all 122
-//!   flattened stations: ~90 load-dependent factor columns, each O(n) per
-//!   step.
+//!   flattened stations: 90 rate-table stations (knee 8 or 2) whose
+//!   complements take `H·⌈log₂ H⌉` knee cells per step.
 //! - `aggregated_sweep/N` — [`HierarchicalSolver`] with plateau truncation:
 //!   every service and tier collapses into a flow-equivalent server whose
 //!   throughput profile saturates geometrically, so the root model carries

@@ -1,5 +1,8 @@
-//! Batched log-sum-exp convolution kernel: the O(n) inner loop of Buzen's
+//! Batched log-sum-exp convolution kernel: the inner loop of Buzen's
 //! algorithm, restructured for autovectorization and `exp`-call pruning.
+//! The workspace runs it over the knee window of a stage (at most `c`
+//! terms, see [`super::ConvWorkspace`]); `benches/lse_kernel.rs` times it on
+//! whole columns against [`scalar_reference`].
 //!
 //! One convolution cell is `c(n) = ln Σ_j exp(a(j) + b(n−j))`. The
 //! historical implementation ([`scalar_reference`], kept verbatim as the

@@ -28,16 +28,19 @@
 //! Q_k(n)  = Σ_j j · p_k(j|n)
 //! ```
 //!
-//! `G₍₋ₖ₎` (the network without station `k`) is produced for every station
-//! from prefix/suffix partial convolutions.
+//! `G₍₋ₖ₎` (the network without station `k`) is needed only for stations
+//! whose queue or marginals cannot be read off `G` itself.
 //!
 //! Every production path — the streaming [`ConvIter`] and the
 //! per-population `solve_at` of the quasi-static MVASD phase — runs on the
 //! incremental [`ConvWorkspace`] in [`workspace`]: carried log-domain
-//! columns extended one cell per population, flat pre-allocated buffers,
-//! and O(1) telescoped updates for single-server stages. The
-//! pre-workspace from-scratch evaluation survives in [`scratch`] as the
-//! independent reference (propcheck oracle and benchmark baseline).
+//! columns extended one cell per population in flat pre-allocated
+//! buffers, think time and delay stations merged into one Poisson head,
+//! every station's factor column telescoped past its knee (so a cell is
+//! `O(knee)`, not `O(n)`), and the `G₍₋ₖ₎` complements built by an
+//! all-but-one divide and conquer. The pre-workspace from-scratch
+//! evaluation survives in [`scratch`] as the independent reference
+//! (propcheck oracle and benchmark baseline).
 
 pub mod kernel;
 pub(crate) mod scratch;

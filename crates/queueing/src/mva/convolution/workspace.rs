@@ -1,68 +1,93 @@
 //! The incremental convolution workspace: Buzen's algorithm with carried
-//! state, O(total·n) log-sum-exp work per population step, and zero heap
-//! allocation per step once warm.
+//! state, O(knee) log-sum-exp work per cell, and zero heap allocation per
+//! step once warm.
 //!
-//! [`ConvWorkspace`] owns every array the recursion touches as a flat,
-//! stride-indexed buffer ([`Grid`]): per-stage log factor columns, the
-//! ascending prefix chain `prefix[i] = f_0 ⊛ … ⊛ f_{i−1}`, the descending
-//! suffix chain `suffix[i] = f_i ⊛ … ⊛ f_{total−1}`, the per-station
-//! complements `G₍₋ₖ₎ = prefix[k] ⊛ suffix[k+1]`, and the O(1)-state queue
-//! accumulators for light single-server stations. One [`advance`] appends
-//! exactly one cell to each live column; nothing already written is ever
-//! mutated, which is what makes the incremental, snapshot/resume, and
+//! Two exact identities keep every cell short.
+//!
+//! * **Poisson head.** Think time and every delay station whose marginals
+//!   are not tracked convolve into one Poisson column,
+//!   `ln h(m) = m·ln Z_tot − ln m!` with `Z_tot = Z + Σ D_delay`, extended
+//!   as `h(m) = h(m−1) + (ln Z_tot − ln m)`. Every chain starts from it.
+//! * **Knee telescope.** A queueing or rate-table station's factor column
+//!   `f(j) = D^j / ∏ α(i)` is geometric past its knee `c` (`1` for a single
+//!   server, `C` for `C` servers, the table length for a rate table), with
+//!   ratio `r = D/α(c)`. So one convolution cell splits into a window and
+//!   a carried tail, `(A ⊛ f)(m) = W(m) ⊕ T(m)` (`⊕` = log-sum-exp):
+//!
+//!   ```text
+//!   W(m) = ⊕_{j<c} A(m−j) + ln f(j)                  (≤ c terms)
+//!   T(m) = ln r + (T(m−1) ⊕ (A(m−c) + ln f(c−1)))     (one term, m ≥ c)
+//!   ```
+//!
+//!   `W` runs on the batched [`kernel::conv_cell`] over a `c`-long slice.
+//!   For `c = 1`, `T(m) = ln r + (A ⊛ f)(m−1)`: the single-server
+//!   telescope. A delay station with tracked marginals is a stage with an
+//!   unbounded knee: its window is the whole column.
+//!
+//! Stations take one of four roles per demand vector. Zero-demand stations
+//! are left out (the convolution identity). Untracked delay stations join
+//! the head. A single server is **light**: a knee-1 stage on the shared
+//! chain, whose queue is the O(1)-state accumulator
+//! `h(n) = D·(G(n−1) + h(n−1))`, `Q(n) = h(n)/G(n)`, and whose tracked
+//! marginals are read off `G` as `p(j|n) = P(Q ≥ j | n)·(1 − U(n−j))`,
+//! so tracking one never changes the plan. A rate-table station, or a
+//! delay station with tracked marginals, is **heavy**: it needs its
+//! complement `G₍₋ₖ₎`, the network without it.
+//!
+//! The chain runs head → light stages, then an all-but-one divide and
+//! conquer over the heavy stages: a node holding the convolution of
+//! everything outside its range convolves one half into the column the
+//! other half recurses on, until one station is left, whose column is its
+//! `G₍₋ₖ₎`. That is `H·⌈log₂ H⌉` cells for `H` heavy stations, and
+//! `G = G₍₋ₖ₎ ⊛ f_k` is one more. A heavy station's queue
+//! `Σ_j j·f(j)·G₍₋ₖ₎(n−j) / G(n)` splits at the knee the same way: the
+//! window terms `j < c` are read at output time, the tail
+//! `V(m) = c·f(c)·G₍₋ₖ₎(m−c) + r·(V(m−1) + T(m−1))` is carried. So a
+//! population step costs `O(Σ c)` whatever the population.
+//!
+//! Every cell rule is planned once per demand vector into flat buffers
+//! sized at construction; [`Grid`] holds the factor columns, the
+//! convolution columns and the queue numerators. One [`advance`]
+//! appends exactly one cell to each live column; nothing already written is
+//! ever mutated, which is what makes the incremental, snapshot/resume and
 //! rebuild paths **bit-for-bit identical** — they all execute the same
 //! per-cell code in the same order.
 //!
-//! Per-stage work is specialized by [`StageKind`]:
-//!
-//! * `Zero` — zero demand: the factor column is the convolution identity,
-//!   so prefix/suffix cells are plain copies.
-//! * `Geo` — single-server-like (`f(j) = D^j`): the convolution with a
-//!   geometric column telescopes, `(A ⊛ f)(n) = A(n) ⊕ (ln D + (A ⊛ f)(n−1))`
-//!   (`⊕` = log-sum-exp), one O(1) update instead of an O(n) sweep. A light
-//!   single-server station additionally skips `G₍₋ₖ₎` entirely: its queue
-//!   satisfies `h(n) = D·(G(n−1) + h(n−1))`, `Q(n) = h(n)/G(n)`, carried as
-//!   one log-domain scalar per population.
-//! * `Exp` — infinite-server (`f(j) = D^j/j!`): full cell, with `ln j`
-//!   read from a table computed once per capacity growth.
-//! * `Table` — multi-server / custom rate: full cell, with `ln α(j)`
-//!   precomputed per station so rebuilds never call `ln()` in the loop.
-//!
-//! Suffix and `G₍₋ₖ₎` maintenance is skipped wholesale when no station
-//! needs the heavy marginal path. Log-sum-exp cells run on the batched
-//! [`super::kernel`]: a reversed-stride add, blocked 4-lane maxima, and a
-//! pruned exp-accumulate pass that skips blocks more than 46 nats below
-//! the peak (the workspace carries the kernel's [`kernel::CellScratch`]
-//! and sizes it alongside every other buffer). The old single-pass
-//! running-maximum cell survives as [`kernel::scalar_reference`], the
-//! kernel's equivalence oracle.
-//!
 //! Changing the demand vector ([`solve_at`]) re-runs the recursion from
-//! population 0 inside the same buffers — `O(n²)` cells but **zero**
-//! allocation and zero `ln()` calls beyond one `ln D` per stage — which is
-//! what the quasi-static MVASD phase does at every population step.
+//! population 0 inside the same buffers: `O(n)` cells of `O(knee)` each,
+//! zero allocation and one `ln D` per station. That is what the
+//! quasi-static MVASD phase does at every population step.
 //!
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
 
 use super::super::loaddep::RateFunction;
+use super::super::schedule::check_demands;
 use super::kernel::{self, lse2};
 use super::ConvStation;
 use crate::network::ClosedNetwork;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
-/// How the workspace extends one stage's factor/prefix/suffix cells.
+/// How a station enters the convolution for the current demand vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    /// Zero demand: `f = (1, 0, 0, …)`, the convolution identity.
+enum Role {
+    /// Zero demand: the convolution identity, left out of every chain.
     Zero,
-    /// Single-server-like: `f(j) = D^j`, telescoping O(1) updates.
-    Geo,
-    /// Infinite-server: `f(j) = D^j / j!`.
-    Exp,
-    /// Rate-table station (multi-server or custom): `f(j) = D^j / ∏ α(i)`.
-    Table,
+    /// Untracked delay station: merged into the Poisson head.
+    Head,
+    /// Single server: a knee-1 stage on the shared chain.
+    Light,
+    /// Rate-table or tracked delay station: gets its own `G₍₋ₖ₎` column.
+    Heavy,
+}
+
+/// One planned cell rule: column `src` convolved with station `stage`'s
+/// factor column. Op `i` writes column `i + 1` (column 0 is the head).
+#[derive(Debug, Clone, Copy, Default)]
+struct Op {
+    src: usize,
+    stage: usize,
 }
 
 /// A fixed number of equally-long `f64` rows in one flat allocation.
@@ -119,8 +144,44 @@ impl Grid {
 /// Sentinel for "this station has no row in that grid".
 const NO_ROW: usize = usize::MAX;
 
+/// The knee of a delay stage: its factor column never turns geometric.
+const UNBOUNDED: usize = usize::MAX;
+
+/// Knee `c` of a rate model: `f(j+1) = f(j)·D/α(c)` for every `j ≥ c`.
+fn knee(rate: &RateFunction) -> usize {
+    match rate {
+        RateFunction::SingleServer => 1,
+        RateFunction::MultiServer(c) => *c,
+        RateFunction::Custom(t) => t.len(),
+        RateFunction::Delay => UNBOUNDED,
+    }
+}
+
+/// Whether a rate model is a rate table (multi-server or custom).
+fn is_rate_table(rate: &RateFunction) -> bool {
+    matches!(
+        rate,
+        RateFunction::MultiServer(2..) | RateFunction::Custom(_)
+    )
+}
+
+/// Whether a station needs its own complement `G₍₋ₖ₎` (the heavy role):
+/// a rate table, or a delay station with tracked marginals.
+fn is_heavy(rate: &RateFunction, limit: usize) -> bool {
+    is_rate_table(rate) || (*rate == RateFunction::Delay && limit > 0)
+}
+
+/// Cells the all-but-one divide and conquer plans for `h` heavy stages.
+fn tree_ops(h: usize) -> usize {
+    if h <= 1 {
+        0
+    } else {
+        h + tree_ops(h / 2) + tree_ops(h - h / 2)
+    }
+}
+
 /// Incremental log-domain convolution engine. See the module docs for the
-/// layout and the per-kind update rules.
+/// Poisson head, the knee telescope and the all-but-one plan.
 ///
 /// Cloning snapshots the entire recursion state (a handful of `memcpy`s),
 /// which is what makes solver snapshots cheap.
@@ -132,41 +193,56 @@ pub struct ConvWorkspace {
 
     /// Last population evaluated (0 = fresh).
     n: usize,
-    /// Per-stage extension rule (stations then think stage); recomputed on
-    /// every demand change.
-    kind: Vec<StageKind>,
-    /// `ln D_i` per stage (`ln Z` for the think stage); `−∞` when zero.
-    ln_d: Vec<f64>,
-    /// Whether station `k` currently needs the `G₍₋ₖ₎` marginal path.
-    heavy: Vec<bool>,
-    /// Any heavy station at all? Gates the whole suffix chain.
-    any_heavy: bool,
-
-    /// Row of `ln_g_minus` for stations that can ever be heavy (else NO_ROW).
-    g_row: Vec<usize>,
-    /// Row of `ln_lq` for light single-server-like stations (else NO_ROW).
-    lq_row: Vec<usize>,
-    /// Row of `ln_rate` for rate-table stations (else NO_ROW).
-    rate_row: Vec<usize>,
-
-    /// `ln j` for `j = 1..cap` (index 0 unused), shared by all Exp stages.
+    /// Knee per station ([`UNBOUNDED`] for delay stations).
+    knee: Vec<usize>,
+    /// `ln t(j)` of every custom rate table, packed back to back; the
+    /// other rate models read `ln α(j)` off `ln_int`.
+    ln_table: Vec<f64>,
+    /// Offset of station `k`'s block in `ln_table`.
+    table_off: Vec<usize>,
+    /// `ln α_k(c_k)`, the constant rate past the knee (`+∞` for delays).
+    ln_alpha_knee: Vec<f64>,
+    /// `ln j` for `j = 1..cap` (index 0 unused).
     ln_int: Vec<f64>,
-    /// `ln α_k(j)` per rate-table station, computed once per growth.
-    ln_rate: Grid,
 
-    /// `ln_factors[i][j] = ln f_i(j)`, stations then the think stage.
+    /// Per-station role; recomputed on every demand change.
+    role: Vec<Role>,
+    /// `ln D_k` (`−∞` when zero).
+    ln_d: Vec<f64>,
+    /// `ln r_k = ln D_k − ln α_k(c_k)`, the geometric ratio past the knee.
+    ln_r: Vec<f64>,
+    /// `ln Z_tot` of the Poisson head; `−∞` when there is nothing to merge.
+    ln_z: f64,
+
+    /// The planned cell rules, run in order at every population; only the
+    /// first `op_count` are live. Sized for the worst case at construction.
+    ops: Vec<Op>,
+    op_count: usize,
+    /// Heavy stations of the current plan (first `heavy_count` entries).
+    heavy_list: Vec<usize>,
+    heavy_count: usize,
+    /// Column holding `ln G`.
+    g_col: usize,
+    /// Column holding `ln G₍₋ₖ₎` per heavy station (else `NO_ROW`).
+    gm_col: Vec<usize>,
+    /// Row of `ln_qnum` for single-server and rate-table stations (else
+    /// `NO_ROW`).
+    q_row: Vec<usize>,
+
+    /// `ln_factors[k][j] = ln f_k(j)` for every station.
     ln_factors: Grid,
-    /// `ln_prefix[i] = f_0 ⊛ … ⊛ f_{i−1}` (`ln_prefix[0]` = identity); the last
-    /// row is `ln G`.
-    ln_prefix: Grid,
-    /// `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` (`suffix[total]` = identity).
-    /// Only maintained while a heavy station exists.
-    suffix: Grid,
-    /// `ln_g_minus[row] = ln G₍₋ₖ₎` for heavy-capable stations.
-    ln_g_minus: Grid,
-    /// `ln_lq[row][n] = ln Σ_{j≥1} j·D^j·G(n−j)`… telescoped: the light
-    /// single-server queue numerator `h(n)`.
-    ln_lq: Grid,
+    /// Convolution columns: row 0 is the Poisson head, row `i + 1` is
+    /// written by op `i`.
+    ln_cols: Grid,
+    /// `T(m)` of the last extension, per column (see the module docs).
+    tail: Vec<f64>,
+    /// Queue numerators `Σ_j j·f_k(j)·G₍₋ₖ₎(n−j)`, telescoped: for a light
+    /// station the whole of it, `h(n) = D·(G(n−1) + h(n−1))`; for a rate
+    /// table its geometric tail `V(n)`, the terms `j ≥ c`.
+    ln_qnum: Grid,
+    /// `T` of `G₍₋ₖ₎ ⊛ f_k` at the last extension, per rate-table station:
+    /// the tail `V` telescopes over it.
+    gm_tail: Vec<f64>,
 
     // Per-population outputs, overwritten in place by `compute_outputs`.
     out_x: f64,
@@ -177,8 +253,11 @@ pub struct ConvWorkspace {
     marg_off: Vec<usize>,
 
     /// Scratch for the batched log-sum-exp kernel, sized alongside the
-    /// grids so full cells never allocate.
+    /// grids so window cells never allocate.
     cell: kernel::CellScratch,
+    /// Log-sum-exp terms evaluated since construction: window lengths plus
+    /// one per tail update. A host-independent cost measure.
+    terms: u64,
 
     extend_ctr: obsv::CounterBatch,
     cells_ctr: obsv::CounterBatch,
@@ -206,33 +285,42 @@ impl ConvWorkspace {
             return Err(QueueingError::EmptyNetwork);
         }
         let k_count = stations.len();
-        let total = k_count + 1; // + think stage
         limits.resize(k_count, 0);
 
-        let mut g_row = vec![NO_ROW; k_count];
-        let mut lq_row = vec![NO_ROW; k_count];
-        let mut rate_row = vec![NO_ROW; k_count];
-        let (mut g_rows, mut lq_rows, mut rate_rows) = (0, 0, 0);
+        let mut knees = Vec::with_capacity(k_count);
+        let mut ln_table = Vec::new();
+        let mut table_off = Vec::with_capacity(k_count);
+        let mut ln_alpha_knee = Vec::with_capacity(k_count);
+        let mut q_row = vec![NO_ROW; k_count];
+        let (mut q_rows, mut light_cap, mut heavy_cap) = (0, 0, 0);
         for (k, s) in stations.iter().enumerate() {
-            let table_capable = matches!(
-                s.rate,
-                RateFunction::MultiServer(2..) | RateFunction::Custom(_)
-            );
-            if table_capable {
-                rate_row[k] = rate_rows;
-                rate_rows += 1;
+            let c = knee(&s.rate);
+            knees.push(c);
+            table_off.push(ln_table.len());
+            if let RateFunction::Custom(t) = &s.rate {
+                for &rate in t {
+                    let ln_rate = rate.ln();
+                    ln_table.push(ln_rate);
+                }
             }
-            if limits[k] > 0 || table_capable {
-                g_row[k] = g_rows;
-                g_rows += 1;
-            } else if matches!(
-                s.rate,
-                RateFunction::SingleServer | RateFunction::MultiServer(1)
-            ) {
-                lq_row[k] = lq_rows;
-                lq_rows += 1;
+            // A delay's rate never levels off: r = D/∞ = 0 past its knee.
+            let rate_c = match c {
+                UNBOUNDED => f64::INFINITY,
+                c => s.rate.rate(c),
+            };
+            let ln_rate_c = rate_c.ln();
+            ln_alpha_knee.push(ln_rate_c);
+            if is_heavy(&s.rate, limits[k]) {
+                heavy_cap += 1;
+            } else if c == 1 {
+                light_cap += 1;
+            }
+            if is_rate_table(&s.rate) || c == 1 {
+                q_row[k] = q_rows;
+                q_rows += 1;
             }
         }
+        let max_ops = light_cap + tree_ops(heavy_cap) + usize::from(heavy_cap > 0);
 
         let mut marg_off = Vec::with_capacity(k_count);
         let mut off = 0usize;
@@ -246,30 +334,38 @@ impl ConvWorkspace {
             think_time,
             limits,
             n: 0,
-            kind: vec![StageKind::Zero; total],
-            ln_d: vec![f64::NEG_INFINITY; total],
-            heavy: vec![false; k_count],
-            any_heavy: false,
-            g_row,
-            lq_row,
-            rate_row,
+            knee: knees,
+            ln_table,
+            table_off,
+            ln_alpha_knee,
             ln_int: Vec::new(),
-            ln_rate: Grid::new(rate_rows),
-            ln_factors: Grid::new(total),
-            ln_prefix: Grid::new(total + 1),
-            suffix: Grid::new(total + 1),
-            ln_g_minus: Grid::new(g_rows),
-            ln_lq: Grid::new(lq_rows),
+            role: vec![Role::Zero; k_count],
+            ln_d: vec![f64::NEG_INFINITY; k_count],
+            ln_r: vec![f64::NEG_INFINITY; k_count],
+            ln_z: f64::NEG_INFINITY,
+            ops: vec![Op::default(); max_ops],
+            op_count: 0,
+            heavy_list: vec![0; heavy_cap],
+            heavy_count: 0,
+            g_col: 0,
+            gm_col: vec![NO_ROW; k_count],
+            q_row,
+            ln_factors: Grid::new(k_count),
+            ln_cols: Grid::new(max_ops + 1),
+            tail: vec![f64::NEG_INFINITY; max_ops + 1],
+            ln_qnum: Grid::new(q_rows),
+            gm_tail: vec![f64::NEG_INFINITY; k_count],
             out_x: 0.0,
             out_queues: vec![0.0; k_count],
             out_marginals: vec![0.0; off],
             marg_off,
             cell: kernel::CellScratch::new(),
+            terms: 0,
             extend_ctr: obsv::CounterBatch::new("conv.workspace.extend", 64),
             cells_ctr: obsv::CounterBatch::new("convolution.cells", 64),
             health: obsv::HealthProbe::new("conv.lse"),
         };
-        ws.refresh_kinds();
+        ws.refresh_roles();
         ws.ensure_capacity(1);
         ws.reset();
         Ok(ws)
@@ -314,6 +410,12 @@ impl ConvWorkspace {
         &self.out_marginals[off..off + limit]
     }
 
+    /// Log-sum-exp terms evaluated since construction.
+    #[cfg(test)]
+    fn terms(&self) -> u64 {
+        self.terms
+    }
+
     /// Flushes the batched instrumentation counters and the numeric-health
     /// probe to the recorder.
     pub fn flush_metrics(&mut self) {
@@ -322,102 +424,178 @@ impl ConvWorkspace {
         self.health.flush();
     }
 
-    /// Re-derives the per-stage extension rules from the current demands.
-    fn refresh_kinds(&mut self) {
-        let total = self.stations.len() + 1;
-        for (k, s) in self.stations.iter().enumerate() {
-            let (kind, ld) = if s.demand <= 0.0 {
-                (StageKind::Zero, f64::NEG_INFINITY)
-            } else {
-                let kind = match s.rate {
-                    RateFunction::Delay => StageKind::Exp,
-                    RateFunction::SingleServer | RateFunction::MultiServer(1) => StageKind::Geo,
-                    _ => StageKind::Table,
-                };
-                let ln_demand = s.demand.ln();
-                (kind, ln_demand)
-            };
-            self.kind[k] = kind;
-            self.ln_d[k] = ld;
-            self.heavy[k] = self.limits[k] > 0 || kind == StageKind::Table;
+    /// `ln α_k(j)` for `1 ≤ j < cap`.
+    #[inline]
+    fn ln_alpha_at(&self, k: usize, j: usize) -> f64 {
+        match &self.stations[k].rate {
+            RateFunction::SingleServer => 0.0,
+            RateFunction::MultiServer(c) => self.ln_int[j.min(*c)],
+            RateFunction::Delay => self.ln_int[j],
+            RateFunction::Custom(t) => self.ln_table[self.table_off[k] + j.min(t.len()) - 1],
         }
-        if self.think_time > 0.0 {
-            self.kind[total - 1] = StageKind::Exp;
-            self.ln_d[total - 1] = self.think_time.ln();
-        } else {
-            self.kind[total - 1] = StageKind::Zero;
-            self.ln_d[total - 1] = f64::NEG_INFINITY;
-        }
-        self.any_heavy = self.heavy.iter().any(|&h| h);
     }
 
-    /// Grows every grid so populations `0..len` fit, extending the `ln`
-    /// tables for the new range. Growth is the only allocation the
-    /// workspace ever performs after construction.
-    fn ensure_capacity(&mut self, len: usize) {
-        if len <= self.ln_factors.cap {
+    /// Re-derives every station's role, the head and the cell plan from
+    /// the current demands.
+    // lint: no-alloc
+    fn refresh_roles(&mut self) {
+        let mut z_tot = self.think_time;
+        for k in 0..self.stations.len() {
+            let s = &self.stations[k];
+            let role = if s.demand <= 0.0 {
+                Role::Zero
+            } else if is_heavy(&s.rate, self.limits[k]) {
+                Role::Heavy
+            } else if self.knee[k] == UNBOUNDED {
+                Role::Head
+            } else {
+                Role::Light
+            };
+            let ln_demand = s.demand.ln();
+            if role == Role::Head {
+                z_tot += s.demand;
+            }
+            self.role[k] = role;
+            self.ln_d[k] = ln_demand;
+            self.ln_r[k] = ln_demand - self.ln_alpha_knee[k];
+        }
+        // ln 0 = −∞: nothing to merge leaves the identity head.
+        let ln_z_tot = z_tot.ln();
+        self.ln_z = ln_z_tot;
+        self.plan();
+    }
+
+    /// Plans the cell rules: head → light stages, then the all-but-one
+    /// tree over the heavy stages, then `G`.
+    // lint: no-alloc
+    fn plan(&mut self) {
+        self.op_count = 0;
+        self.heavy_count = 0;
+        self.gm_col.fill(NO_ROW);
+        let mut col = 0;
+        for k in 0..self.stations.len() {
+            match self.role[k] {
+                Role::Light => col = self.push_op(col, k),
+                Role::Heavy => {
+                    self.heavy_list[self.heavy_count] = k;
+                    self.heavy_count += 1;
+                }
+                Role::Zero | Role::Head => {}
+            }
+        }
+        self.g_col = match self.heavy_count {
+            0 => col,
+            h => {
+                self.split(col, 0, h);
+                let last = self.heavy_list[h - 1];
+                self.push_op(self.gm_col[last], last)
+            }
+        };
+    }
+
+    /// Plans `heavy_list[lo..hi]`'s complements from `col`, the convolution
+    /// of everything outside that range: each half is convolved into the
+    /// column the other half recurses on.
+    // lint: no-alloc
+    fn split(&mut self, col: usize, lo: usize, hi: usize) {
+        if hi - lo == 1 {
+            self.gm_col[self.heavy_list[lo]] = col;
             return;
         }
-        let new_cap = len.next_power_of_two().max(self.ln_factors.cap * 2).max(64);
-        let old_cap = self.ln_factors.cap;
+        let mid = lo + (hi - lo) / 2;
+        let mut left = col;
+        for i in mid..hi {
+            left = self.push_op(left, self.heavy_list[i]);
+        }
+        self.split(left, lo, mid);
+        let mut right = col;
+        for i in lo..mid {
+            right = self.push_op(right, self.heavy_list[i]);
+        }
+        self.split(right, mid, hi);
+    }
+
+    /// Appends the op `src ⊛ f_stage` and returns the column it writes.
+    // lint: no-alloc
+    fn push_op(&mut self, src: usize, stage: usize) -> usize {
+        self.ops[self.op_count] = Op { src, stage };
+        self.op_count += 1;
+        self.op_count
+    }
+
+    /// Grows every grid so populations `0..len` fit, extending the `ln j`
+    /// table for the new range. Growth is the only allocation the
+    /// workspace ever performs after construction.
+    fn ensure_capacity(&mut self, len: usize) {
+        if len <= self.ln_cols.cap {
+            return;
+        }
+        let new_cap = len.next_power_of_two().max(self.ln_cols.cap * 2).max(64);
+        let old_cap = self.ln_cols.cap;
         let keep = (self.n + 1).min(old_cap);
         self.ln_factors.grow(new_cap, keep);
-        self.ln_prefix.grow(new_cap, keep);
-        self.suffix.grow(new_cap, keep);
-        self.ln_g_minus.grow(new_cap, keep);
-        self.ln_lq.grow(new_cap, keep);
+        self.ln_cols.grow(new_cap, keep);
+        self.ln_qnum.grow(new_cap, keep);
         self.cell.ensure(new_cap);
 
         self.ln_int.resize(new_cap, 0.0);
-        let from = old_cap.max(1);
-        for j in from..new_cap {
+        for j in old_cap.max(1)..new_cap {
             self.ln_int[j] = (j as f64).ln();
-        }
-        self.ln_rate.grow(new_cap, old_cap);
-        for (k, s) in self.stations.iter().enumerate() {
-            let r = self.rate_row[k];
-            if r == NO_ROW {
-                continue;
-            }
-            if old_cap == 0 {
-                self.ln_rate.set(r, 0, 0.0); // j = 0 is never read
-            }
-            for j in from..new_cap {
-                self.ln_rate.set(r, j, s.rate.rate(j).ln());
-            }
         }
 
         if obsv::enabled() {
             let bytes = self.ln_factors.bytes()
-                + self.ln_prefix.bytes()
-                + self.suffix.bytes()
-                + self.ln_g_minus.bytes()
-                + self.ln_lq.bytes()
-                + self.ln_rate.bytes()
-                + self.ln_int.len() * std::mem::size_of::<f64>();
+                + self.ln_cols.bytes()
+                + self.ln_qnum.bytes()
+                + (self.ln_int.len() + self.ln_table.len()) * std::mem::size_of::<f64>();
             obsv::counter("conv.workspace.alloc", 1);
             obsv::gauge("conv.workspace.bytes", bytes as f64);
         }
     }
 
     /// Rewinds to population 0, re-initializing only the `j = 0` cells:
-    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = 0`.
+    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = 0`, and empty tails.
+    // lint: no-alloc
     fn reset(&mut self) {
         self.n = 0;
-        let total = self.stations.len() + 1;
-        for i in 0..total {
-            self.ln_factors.set(i, 0, 0.0);
+        for k in 0..self.ln_factors.rows {
+            self.ln_factors.set(k, 0, 0.0);
         }
-        for i in 0..=total {
-            self.ln_prefix.set(i, 0, 0.0);
-            self.suffix.set(i, 0, 0.0);
+        for r in 0..self.ln_cols.rows {
+            self.ln_cols.set(r, 0, 0.0);
         }
-        for r in 0..self.ln_g_minus.rows {
-            self.ln_g_minus.set(r, 0, 0.0);
+        self.tail.fill(f64::NEG_INFINITY);
+        self.gm_tail.fill(f64::NEG_INFINITY);
+        for r in 0..self.ln_qnum.rows {
+            self.ln_qnum.set(r, 0, f64::NEG_INFINITY);
         }
-        for r in 0..self.ln_lq.rows {
-            self.ln_lq.set(r, 0, f64::NEG_INFINITY);
-        }
+    }
+
+    /// One knee-telescoped cell: column `dst` at population `m`.
+    // lint: no-alloc
+    fn run_op(&mut self, op: Op, dst: usize, m: usize) {
+        let Op { src, stage } = op;
+        let c = self.knee[stage];
+        let w = c.min(m + 1);
+        let a = self.ln_cols.row(src);
+        let f = self.ln_factors.row(stage);
+        // ln f(0) = 0: a one-term window is the source cell itself.
+        let window = if w == 1 {
+            a[m]
+        } else {
+            kernel::conv_cell(&f[..w], &a[m + 1 - w..=m], w - 1, &mut self.cell)
+        };
+        let tail = if m < c {
+            f64::NEG_INFINITY
+        } else if c == 1 {
+            // T(m−1) ⊕ A(m−1) is the previous cell itself.
+            self.ln_r[stage] + self.ln_cols.at(dst, m - 1)
+        } else {
+            self.ln_r[stage] + lse2(self.tail[dst], a[m - c] + f[c - 1])
+        };
+        self.terms += w as u64 + u64::from(m >= c);
+        self.tail[dst] = tail;
+        self.ln_cols.set(dst, m, lse2(window, tail));
     }
 
     /// Extends every live column by the cell for population `self.n + 1`.
@@ -427,100 +605,68 @@ impl ConvWorkspace {
     fn extend_one(&mut self) -> Result<(), QueueingError> {
         let m = self.n + 1;
         self.ensure_capacity(m + 1);
-        let total = self.stations.len() + 1;
 
-        for i in 0..total {
-            let v = match self.kind[i] {
-                StageKind::Zero => f64::NEG_INFINITY,
-                StageKind::Geo => self.ln_factors.at(i, m - 1) + self.ln_d[i],
-                StageKind::Exp => self.ln_factors.at(i, m - 1) + (self.ln_d[i] - self.ln_int[m]),
-                StageKind::Table => {
-                    let lr = self.ln_rate.at(self.rate_row[i], m);
-                    self.ln_factors.at(i, m - 1) + (self.ln_d[i] - lr)
-                }
-            };
-            self.ln_factors.set(i, m, v);
+        for k in 0..self.stations.len() {
+            if matches!(self.role[k], Role::Light | Role::Heavy) {
+                let v = self.ln_factors.at(k, m - 1) + (self.ln_d[k] - self.ln_alpha_at(k, m));
+                self.ln_factors.set(k, m, v);
+            }
+        }
+        let head = self.ln_cols.at(0, m - 1) + (self.ln_z - self.ln_int[m]);
+        self.ln_cols.set(0, m, head);
+        for i in 0..self.op_count {
+            self.run_op(self.ops[i], i + 1, m);
         }
 
-        self.ln_prefix.set(0, m, f64::NEG_INFINITY); // identity
-        for i in 0..total {
-            let v = match self.kind[i] {
-                StageKind::Zero => self.ln_prefix.at(i, m),
-                StageKind::Geo => lse2(
-                    self.ln_prefix.at(i, m),
-                    self.ln_d[i] + self.ln_prefix.at(i + 1, m - 1),
-                ),
-                _ => kernel::conv_cell(
-                    self.ln_prefix.row(i),
-                    self.ln_factors.row(i),
-                    m,
-                    &mut self.cell,
-                ),
-            };
-            self.ln_prefix.set(i + 1, m, v);
-        }
-
-        let g_m = self.ln_prefix.at(total, m);
+        let g_m = self.ln_cols.at(self.g_col, m);
         self.health.watch(g_m);
-        if g_m == f64::NEG_INFINITY && self.ln_prefix.at(total, m - 1) != f64::NEG_INFINITY {
+        if g_m == f64::NEG_INFINITY && self.ln_cols.at(self.g_col, m - 1) != f64::NEG_INFINITY {
             return Err(QueueingError::InvalidParameter {
                 what: "normalization constant vanished (all-zero demands?)",
             });
         }
 
-        if self.any_heavy {
-            self.suffix.set(total, m, f64::NEG_INFINITY); // identity
-            for i in (0..total).rev() {
-                let v = match self.kind[i] {
-                    StageKind::Zero => self.suffix.at(i + 1, m),
-                    StageKind::Geo => lse2(
-                        self.suffix.at(i + 1, m),
-                        self.ln_d[i] + self.suffix.at(i, m - 1),
-                    ),
-                    _ => kernel::conv_cell(
-                        self.ln_factors.row(i),
-                        self.suffix.row(i + 1),
-                        m,
-                        &mut self.cell,
-                    ),
-                };
-                self.suffix.set(i, m, v);
-            }
-            for k in 0..self.stations.len() {
-                if self.heavy[k] {
-                    let v = kernel::conv_cell(
-                        self.ln_prefix.row(k),
-                        self.suffix.row(k + 1),
-                        m,
-                        &mut self.cell,
-                    );
-                    self.ln_g_minus.set(self.g_row[k], m, v);
-                }
-            }
-        }
-
+        let g_prev = self.ln_cols.at(self.g_col, m - 1);
         for k in 0..self.stations.len() {
-            let r = self.lq_row[k];
-            if r != NO_ROW && self.kind[k] == StageKind::Geo && !self.heavy[k] {
-                let v =
-                    self.ln_d[k] + lse2(self.ln_lq.at(r, m - 1), self.ln_prefix.at(total, m - 1));
-                self.ln_lq.set(r, m, v);
+            let r = self.q_row[k];
+            match self.role[k] {
+                Role::Light => {
+                    let v = self.ln_d[k] + lse2(self.ln_qnum.at(r, m - 1), g_prev);
+                    self.ln_qnum.set(r, m, v);
+                }
+                Role::Heavy if r != NO_ROW => self.extend_queue_tail(k, r, m),
+                _ => {}
             }
         }
 
         self.n = m;
         self.extend_ctr.add(1);
         if obsv::enabled() {
-            let heavy_count = self.heavy.iter().filter(|&&h| h).count();
-            let cells = if self.any_heavy {
-                2 * total + heavy_count
-            } else {
-                total
-            };
-            self.cells_ctr.add(cells as u64);
+            self.cells_ctr.add(self.op_count as u64);
             obsv::gauge("convolution.ln_g", g_m);
         }
         Ok(())
+    }
+
+    /// Extends a rate-table station's queue-numerator tail
+    /// `V(m) = Σ_{j=c}^{m} j·f(j)·B(m−j)` over its complement `B = G₍₋ₖ₎`:
+    /// `V(m) = c·f(c)·B(m−c) + r·(V(m−1) + T_B(m−1))`, where `T_B` is the
+    /// knee tail of `B ⊛ f`, itself telescoped alongside.
+    // lint: no-alloc
+    fn extend_queue_tail(&mut self, k: usize, r: usize, m: usize) {
+        let c = self.knee[k];
+        if m < c {
+            self.ln_qnum.set(r, m, f64::NEG_INFINITY);
+            return;
+        }
+        let b = self.ln_cols.at(self.gm_col[k], m - c);
+        let ln_r = self.ln_r[k];
+        let t_prev = self.gm_tail[k];
+        let head = self.ln_int[c] + self.ln_factors.at(k, c) + b;
+        let v = lse2(head, ln_r + lse2(self.ln_qnum.at(r, m - 1), t_prev));
+        self.gm_tail[k] = ln_r + lse2(t_prev, b + self.ln_factors.at(k, c - 1));
+        self.terms += 2;
+        self.ln_qnum.set(r, m, v);
     }
 
     /// Fills the output slots (`throughput`/`queues`/`marginals_of`) for
@@ -529,46 +675,82 @@ impl ConvWorkspace {
     // lint: no-alloc
     fn compute_outputs(&mut self, n: usize) {
         debug_assert!(n >= 1 && n <= self.n);
-        let total = self.stations.len() + 1;
-        let g_n = self.ln_prefix.at(total, n);
-        let x = (self.ln_prefix.at(total, n - 1) - g_n).exp();
+        let g_n = self.ln_cols.at(self.g_col, n);
+        let x = (self.ln_cols.at(self.g_col, n - 1) - g_n).exp();
         self.out_x = x;
         for k in 0..self.stations.len() {
-            if self.heavy[k] {
-                let limit = self.limits[k];
-                let off = self.marg_off[k];
-                self.out_marginals[off..off + limit].fill(0.0);
-                let gr = self.g_row[k];
-                let mut q = 0.0;
-                for j in 0..=n {
-                    let lp = self.ln_factors.at(k, j) + self.ln_g_minus.at(gr, n - j) - g_n;
-                    if lp > -700.0 {
-                        let p = lp.exp();
-                        q += j as f64 * p;
-                        if j < limit {
-                            self.out_marginals[off + j] = p;
+            let limit = self.limits[k];
+            let off = self.marg_off[k];
+            self.out_queues[k] = match self.role[k] {
+                Role::Zero => {
+                    // Nobody ever visits: all mass at j = 0.
+                    self.out_marginals[off..off + limit].fill(0.0);
+                    if limit > 0 {
+                        self.out_marginals[off] = 1.0;
+                    }
+                    0.0
+                }
+                // Infinite-server: Q = X·D exactly (Little).
+                Role::Head => x * self.stations[k].demand,
+                Role::Light => {
+                    // p(j|n) = P(Q ≥ j | n)·(1 − U(n−j)): both factors
+                    // are probabilities read off G, so the one
+                    // subtraction costs absolute, not relative, accuracy.
+                    self.out_marginals[off..off + limit].fill(0.0);
+                    for j in 0..limit.min(n + 1) {
+                        let ln_at_least =
+                            self.ln_factors.at(k, j) + self.ln_cols.at(self.g_col, n - j) - g_n;
+                        let ln_busy = if j == n {
+                            f64::NEG_INFINITY
+                        } else {
+                            self.ln_d[k] + self.ln_cols.at(self.g_col, n - j - 1)
+                                - self.ln_cols.at(self.g_col, n - j)
+                        };
+                        self.out_marginals[off + j] = ln_at_least.exp() * -ln_busy.exp_m1();
+                    }
+                    (self.ln_qnum.at(self.q_row[k], n) - g_n).exp()
+                }
+                Role::Heavy => {
+                    // p(j|n) = f(j)·G₍₋ₖ₎(n−j)/G(n) over the window j < c
+                    // (and the tracked j < limit); the tail j ≥ c of the
+                    // queue sum is the carried V(n).
+                    self.out_marginals[off..off + limit].fill(0.0);
+                    let gm = self.gm_col[k];
+                    let c = self.knee[k];
+                    let upto = match self.q_row[k] {
+                        NO_ROW => limit,
+                        _ => limit.max(c),
+                    };
+                    let mut q = 0.0;
+                    for j in 0..upto.min(n + 1) {
+                        let lp = self.ln_factors.at(k, j) + self.ln_cols.at(gm, n - j) - g_n;
+                        if lp > -700.0 {
+                            let p = lp.exp();
+                            if j < c {
+                                q += j as f64 * p;
+                            }
+                            if j < limit {
+                                self.out_marginals[off + j] = p;
+                            }
+                        } else if lp != f64::NEG_INFINITY {
+                            // A finite marginal term too small for exp():
+                            // dropped, which is safe but worth counting.
+                            self.health.count_underflow();
                         }
-                    } else if lp != f64::NEG_INFINITY {
-                        // A finite marginal term too small for exp():
-                        // dropped, which is safe but worth counting.
-                        self.health.count_underflow();
+                    }
+                    match self.q_row[k] {
+                        // A tracked delay station: Q = X·D exactly.
+                        NO_ROW => x * self.stations[k].demand,
+                        r => q + (self.ln_qnum.at(r, n) - g_n).exp(),
                     }
                 }
-                self.out_queues[k] = q;
-            } else {
-                self.out_queues[k] = match self.kind[k] {
-                    StageKind::Zero => 0.0,
-                    // Infinite-server: Q = X·D exactly (Little).
-                    StageKind::Exp => x * self.stations[k].demand,
-                    StageKind::Geo => (self.ln_lq.at(self.lq_row[k], n) - g_n).exp(),
-                    StageKind::Table => unreachable!("table stations are always heavy"),
-                };
-            }
+            };
         }
     }
 
     /// Advances one population and refreshes the outputs — the streaming
-    /// hot path: O(total·n) cells, zero allocation once capacity is there.
+    /// hot path: one cell per planned op, zero allocation once capacity is
+    /// there.
     ///
     /// On error the columns are poisoned (partially extended) and the
     /// workspace must be discarded; all errors here are deterministic model
@@ -593,7 +775,8 @@ impl ConvWorkspace {
     /// blur the rebuild accounting.
     ///
     /// A NaN, infinite or negative demand is rejected before anything is
-    /// touched, so the workspace stays usable after the error.
+    /// touched (the rule every recursion applies to its schedule), so the
+    /// workspace stays usable after the error.
     pub fn solve_at(&mut self, n: usize, demands: &[f64]) -> Result<(), QueueingError> {
         if n == 0 {
             return Err(QueueingError::InvalidParameter {
@@ -605,11 +788,7 @@ impl ConvWorkspace {
                 what: "demand vector length does not match the station count",
             });
         }
-        if !demands.iter().all(|d| d.is_finite() && *d >= 0.0) {
-            return Err(QueueingError::InvalidParameter {
-                what: "demand must be finite and >= 0",
-            });
-        }
+        check_demands(demands)?;
         let changed = self
             .stations
             .iter()
@@ -619,7 +798,7 @@ impl ConvWorkspace {
             for (s, &d) in self.stations.iter_mut().zip(demands) {
                 s.demand = d;
             }
-            self.refresh_kinds();
+            self.refresh_roles();
             obsv::counter("conv.workspace.rebuild", 1);
             self.reset();
         }
@@ -864,6 +1043,213 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// Draws one station of the oracle suite's mix and its marginal limit.
+    fn gen_station(g: &mut Gen, i: usize) -> (ConvStation, usize) {
+        let rate = match g.usize_in(0, 3) {
+            0 => RateFunction::SingleServer,
+            1 => RateFunction::MultiServer(g.usize_in(2, 32)),
+            2 => RateFunction::Delay,
+            _ => {
+                let len = g.usize_in(1, 8);
+                let monotone = g.bool();
+                RateFunction::Custom(
+                    (0..len)
+                        .map(|j| {
+                            if monotone {
+                                1.0 + j as f64 * g.f64_in(0.1, 1.0)
+                            } else {
+                                g.f64_in(0.2, 4.0)
+                            }
+                        })
+                        .collect(),
+                )
+            }
+        };
+        let demand = if g.usize_in(0, 5) == 0 {
+            0.0
+        } else {
+            g.f64_in(0.001, 0.2)
+        };
+        let limit = match &rate {
+            RateFunction::MultiServer(c) if g.bool() => *c,
+            RateFunction::Custom(t) if g.bool() => t.len(),
+            _ if g.usize_in(0, 3) == 0 => g.usize_in(1, 3),
+            _ => 0,
+        };
+        (st(&format!("s{i}"), demand, rate), limit)
+    }
+
+    /// The knee rule and the Poisson head against the from-scratch oracle:
+    /// random mixes of single servers, 2..=32 servers, rate tables of
+    /// length 1..=8 (some non-monotone), delay and zero-demand stations,
+    /// checked at populations below, at and past every knee up to 400.
+    #[test]
+    fn propcheck_knee_rule_matches_reference() {
+        check(
+            "propcheck_knee_rule_matches_reference",
+            &Config::default().cases(32),
+            |g: &mut Gen| {
+                let k_count = g.usize_in(1, 6);
+                let (stations, limits): (Vec<_>, Vec<_>) =
+                    (0..k_count).map(|i| gen_station(g, i)).unzip();
+                let z = if g.bool() { 0.0 } else { g.f64_in(1e-3, 3.0) };
+                if z <= 0.0 && stations.iter().all(|s| s.demand <= 0.0) {
+                    return;
+                }
+                let n_max = g.usize_in(1, 400);
+                let mut probes = vec![1, n_max, g.usize_in(1, n_max)];
+                for s in &stations {
+                    let c = knee(&s.rate);
+                    if c != UNBOUNDED {
+                        probes.extend(
+                            [c - 1, c, c + 1]
+                                .into_iter()
+                                .filter(|&m| m >= 1 && m <= n_max),
+                        );
+                    }
+                }
+                let mut ws = ws_of(&stations, z, &limits);
+                ws.reserve(n_max);
+                for n in 1..=n_max {
+                    ws.advance().unwrap();
+                    if !probes.contains(&n) {
+                        continue;
+                    }
+                    let (x, q, m) = scratch::solve_at(&stations, z, n, &limits).unwrap();
+                    assert!(
+                        rel_close(ws.throughput(), x, 1e-12),
+                        "x: {} vs {x} at n={n}",
+                        ws.throughput()
+                    );
+                    for k in 0..k_count {
+                        assert!(
+                            rel_close(ws.queues()[k], q[k], 1e-11),
+                            "q[{k}]: {} vs {} at n={n}",
+                            ws.queues()[k],
+                            q[k]
+                        );
+                        for (j, &mv) in m[k].iter().enumerate() {
+                            assert!(
+                                (ws.marginals_of(k)[j] - mv).abs() <= 1e-12,
+                                "marginal[{k}][{j}]: {} vs {mv} at n={n}",
+                                ws.marginals_of(k)[j]
+                            );
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// Incremental, fresh and rebuilt workspaces agree bit for bit on a
+    /// network that exercises every stage rule: a knee-16 and a knee-3
+    /// (rate table) stage, a single server, and two delay stations merged
+    /// into the think-time head.
+    #[test]
+    fn incremental_fresh_and_rebuild_are_bitwise_identical_with_head_merge() {
+        let stations = vec![
+            st("cpu", 0.02, RateFunction::MultiServer(16)),
+            st("fes", 0.05, RateFunction::Custom(vec![1.0, 1.7, 2.2])),
+            st("disk", 0.012, RateFunction::SingleServer),
+            st("lan", 0.004, RateFunction::Delay),
+            st("wan", 0.03, RateFunction::Delay),
+        ];
+        let limits = [16, 3, 1, 0, 0];
+        let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+        let other: Vec<f64> = demands.iter().map(|d| d * 1.3).collect();
+        let bits = |ws: &ConvWorkspace| {
+            let mut v = vec![ws.throughput().to_bits()];
+            v.extend(ws.queues().iter().map(|q| q.to_bits()));
+            for k in 0..stations.len() {
+                v.extend(ws.marginals_of(k).iter().map(|p| p.to_bits()));
+            }
+            v
+        };
+        let mut carried = ws_of(&stations, 0.8, &limits);
+        let mut rebuilt = ws_of(&stations, 0.8, &limits);
+        for n in 1..=90usize {
+            carried.advance().unwrap();
+            let mut fresh = ws_of(&stations, 0.8, &limits);
+            fresh.solve_at(n, &demands).unwrap();
+            // Away to other demands and back: two in-place rebuilds.
+            rebuilt.solve_at(n, &other).unwrap();
+            rebuilt.solve_at(n, &demands).unwrap();
+            assert_eq!(bits(&carried), bits(&fresh), "fresh at n={n}");
+            assert_eq!(bits(&carried), bits(&rebuilt), "rebuild at n={n}");
+        }
+    }
+
+    /// Host-independent cost: on the JPetStore shape (three 16-core CPUs,
+    /// nine single servers) a rebuild is linear in the population, and one
+    /// incremental step costs the same at any depth.
+    #[test]
+    fn rebuild_cost_is_linear_and_steps_are_flat() {
+        let mut stations = Vec::new();
+        for (tier, cpu) in [("load", 0.006), ("app", 0.035), ("db", 0.135)] {
+            stations.push(st(
+                &format!("{tier}-cpu"),
+                cpu,
+                RateFunction::MultiServer(16),
+            ));
+            for (dev, d) in [("disk", 0.008), ("tx", 0.002), ("rx", 0.0015)] {
+                stations.push(st(&format!("{tier}-{dev}"), d, RateFunction::SingleServer));
+            }
+        }
+        let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+        let other: Vec<f64> = demands.iter().map(|d| d * 1.01).collect();
+        let rebuild_terms = |n: usize| {
+            let mut ws = ws_of(&stations, 1.0, &[]);
+            ws.solve_at(1, &demands).unwrap();
+            let before = ws.terms();
+            ws.solve_at(n, &other).unwrap();
+            ws.terms() - before
+        };
+        let (t1, t2) = (rebuild_terms(150), rebuild_terms(300));
+        assert!(
+            t2 as f64 <= 2.2 * t1 as f64,
+            "rebuild to 300 cost {t2} terms, to 150 {t1}"
+        );
+        let mut ws = ws_of(&stations, 1.0, &[]);
+        let mut step_terms = Vec::new();
+        for n in 1..=1200usize {
+            let before = ws.terms();
+            ws.advance().unwrap();
+            if n == 100 || n == 1200 {
+                step_terms.push(ws.terms() - before);
+            }
+        }
+        assert_eq!(step_terms[0], step_terms[1], "step cost grew with n");
+    }
+
+    /// A station with more servers than customers never queues: it is a
+    /// delay station at every population below its knee, and its knee
+    /// costs nothing up front.
+    #[test]
+    fn server_count_beyond_the_population_is_a_delay() {
+        let big = [
+            st("cpu", 0.02, RateFunction::MultiServer(1 << 40)),
+            st("disk", 0.01, RateFunction::SingleServer),
+        ];
+        let delay = [
+            st("cpu", 0.02, RateFunction::Delay),
+            st("disk", 0.01, RateFunction::SingleServer),
+        ];
+        let mut a = ws_of(&big, 0.5, &[2, 0]);
+        let mut b = ws_of(&delay, 0.5, &[2, 0]);
+        for n in 1..=200usize {
+            a.advance().unwrap();
+            b.advance().unwrap();
+            assert!(
+                rel_close(a.throughput(), b.throughput(), 1e-12),
+                "x at n={n}"
+            );
+            assert!(rel_close(a.queues()[0], b.queues()[0], 1e-11), "q at n={n}");
+            for j in 0..2 {
+                assert!((a.marginals_of(0)[j] - b.marginals_of(0)[j]).abs() <= 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl SolverIter for ExactMvaIter {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         let z = self.net.think_time;
-        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
+        self.net.fill(n, self.x_prev, &mut self.demands)?;
 
         // Residence time per interaction at each station. Algorithm 1
         // ignores declared core counts and rate tables by design: every
@@ -273,5 +273,29 @@ mod tests {
         }
         // Bottleneck (disk) utilization approaches 1.
         assert!(sol.last().stations[1].utilization > 0.99);
+    }
+
+    /// A schedule that turns hostile at step 3 gets a typed error there,
+    /// not a NaN or negative-demand answer.
+    #[test]
+    fn hostile_schedule_demand_is_rejected_at_step_3() {
+        use crate::mva::schedule::{ScheduledNetwork, TurnsHostile};
+        use std::sync::Arc;
+        let net = simple_net(1.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
+            let mut sched = ScheduledNetwork::from(&net);
+            sched.schedule = Arc::new(TurnsHostile {
+                base: net.demands(),
+                after: 2,
+                bad,
+            });
+            let mut it = ExactMvaIter::with_schedule(sched);
+            it.drain(2).unwrap();
+            assert!(
+                matches!(it.step(), Err(QueueingError::InvalidParameter { .. })),
+                "{bad}"
+            );
+            assert_eq!(it.population(), 2, "{bad}");
+        }
     }
 }

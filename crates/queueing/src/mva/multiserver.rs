@@ -34,13 +34,16 @@
 //! convolution solves beyond it.
 //!
 //! The quasi-static solves are served by a carried incremental
-//! [`ConvWorkspace`] rather than a from-scratch evaluation: when the
+//! [`ConvWorkspace`] rather than a from-scratch evaluation. When the
 //! demand array changes between steps (the MVASD case) the workspace
-//! rebuilds its carried factor columns in `O(K·n)`, and when it does not
+//! replays populations `1..=n` inside its buffers: `O(n)` cells, each
+//! `O(knee)` log-sum-exp terms (a 16-core station's cell is a 16-term
+//! window plus one telescoped tail term), so a step costs `O(n)` and a
+//! solve to `N` costs `O(N²)`. When the demands do not change
 //! (constant-demand Algorithm 2 driven through the recursion) each step
-//! extends the columns by a single entry in `O(K)` — against the old
-//! `O(K·n²)` per-step rebuild either way. The workspace's scratch buffers
-//! are allocated once and reused for the rest of the sweep.
+//! appends one cell per column. The old from-scratch path cost `O(n²)`
+//! per step. The workspace's buffers are allocated once and reused for
+//! the rest of the sweep.
 
 use mvasd_numerics::dd::Dd;
 use mvasd_obsv as obsv;
@@ -297,9 +300,9 @@ impl PopulationRecursion {
 
     /// One quasi-static step: exact constant-demand solve at population `n`
     /// with this step's demand array, served by the carried incremental
-    /// workspace (same-demand steps extend in `O(K)`; demand changes
-    /// rebuild the carried columns in `O(K·n)`). A schedule that hands
-    /// back a NaN, infinite or negative demand gets the workspace's error.
+    /// workspace (same-demand steps append one cell per column; demand
+    /// changes replay `O(n)` cells). The demands were checked when the
+    /// step read its schedule.
     fn quasi_static_step(&mut self, n: usize) -> Result<(f64, f64, Vec<f64>), QueueingError> {
         let ws = match &mut self.ws {
             Some(ws) => ws,
@@ -357,7 +360,7 @@ impl SolverIter for PopulationRecursion {
         let _span = obsv::span("mvasd.step");
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
-        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
+        self.net.fill(n, self.x_prev, &mut self.demands)?;
         let (x, r_total, residence) = self.advance(n)?;
         self.x_prev = x;
 
@@ -390,7 +393,8 @@ impl SolverIter for PopulationRecursion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::{exact_mva, DemandSchedule};
+    use crate::mva::exact_mva;
+    use crate::mva::schedule::TurnsHostile;
     use crate::network::Station;
     use std::sync::Arc;
 
@@ -749,23 +753,6 @@ mod tests {
         assert!(PopulationRecursion::new(ld).is_err());
     }
 
-    /// A user schedule whose demands turn hostile after `after` steps.
-    #[derive(Debug)]
-    struct TurnsHostile {
-        base: Vec<f64>,
-        after: usize,
-        bad: f64,
-    }
-
-    impl DemandSchedule for TurnsHostile {
-        fn fill(&self, n: usize, _x_prev: f64, out: &mut [f64]) {
-            out.copy_from_slice(&self.base);
-            if n > self.after {
-                out[0] = self.bad;
-            }
-        }
-    }
-
     #[test]
     fn quasi_static_step_returns_hostile_demand_errors() {
         let net = ClosedNetwork::new(
@@ -791,6 +778,36 @@ mod tests {
                 matches!(rec.step(), Err(QueueingError::InvalidParameter { .. })),
                 "{bad}"
             );
+        }
+    }
+
+    /// The carried phase reads its schedule through the same check: a
+    /// schedule that turns hostile at step 3, long before the switch.
+    #[test]
+    fn carried_step_rejects_hostile_demands_at_step_3() {
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 16, 1.0, 0.16),
+                Station::queueing("disk", 1, 1.0, 0.004),
+            ],
+            1.0,
+        )
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
+            let mut sched = ScheduledNetwork::from(&net);
+            sched.schedule = Arc::new(TurnsHostile {
+                base: net.demands(),
+                after: 2,
+                bad,
+            });
+            let mut rec = PopulationRecursion::with_schedule(sched).unwrap();
+            rec.drain(2).unwrap();
+            assert!(!rec.is_quasi_static());
+            assert!(
+                matches!(rec.step(), Err(QueueingError::InvalidParameter { .. })),
+                "{bad}"
+            );
+            assert_eq!(rec.population(), 2, "{bad}");
         }
     }
 

@@ -18,6 +18,10 @@ use crate::network::{ClosedNetwork, StationKind};
 use crate::QueueingError;
 
 /// The demand array a population recursion uses at each step.
+///
+/// A schedule may hand back any float; the recursions read it through
+/// [`ScheduledNetwork`], which rejects a NaN, infinite or negative demand
+/// with [`QueueingError::InvalidParameter`] before the step uses it.
 pub trait DemandSchedule: std::fmt::Debug + Send + Sync {
     /// Fills `out` (one slot per station, declaration order) with the
     /// demands for population step `n`. `x_prev` is the throughput the
@@ -78,6 +82,13 @@ impl ScheduledNetwork {
         })
     }
 
+    /// Fills `out` with the demands for step `n` from the schedule and
+    /// checks them: the one place every recursion reads its schedule.
+    pub(crate) fn fill(&self, n: usize, x_prev: f64, out: &mut [f64]) -> Result<(), QueueingError> {
+        self.schedule.fill(n, x_prev, out);
+        check_demands(out)
+    }
+
     /// Fails with `what` if any station is load-dependent.
     pub(crate) fn reject_load_dependent(&self, what: &'static str) -> Result<(), QueueingError> {
         let load_dependent = |k: &StationKind| matches!(k, StationKind::LoadDependent { .. });
@@ -85,6 +96,38 @@ impl ScheduledNetwork {
             return Err(QueueingError::InvalidParameter { what });
         }
         Ok(())
+    }
+}
+
+/// The rule every demand array a recursion evaluates must obey: each
+/// demand finite and `>= 0` (zero means the station is absent).
+pub(crate) fn check_demands(demands: &[f64]) -> Result<(), QueueingError> {
+    if demands.iter().all(|d| d.is_finite() && *d >= 0.0) {
+        Ok(())
+    } else {
+        Err(QueueingError::InvalidParameter {
+            what: "demand must be finite and >= 0",
+        })
+    }
+}
+
+/// A schedule whose demands turn hostile: station 0 reads `bad` from step
+/// `after + 1` on. The regression fixture of every recursion.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct TurnsHostile {
+    pub base: Vec<f64>,
+    pub after: usize,
+    pub bad: f64,
+}
+
+#[cfg(test)]
+impl DemandSchedule for TurnsHostile {
+    fn fill(&self, n: usize, _x_prev: f64, out: &mut [f64]) {
+        out.copy_from_slice(&self.base);
+        if n > self.after {
+            out[0] = self.bad;
+        }
     }
 }
 

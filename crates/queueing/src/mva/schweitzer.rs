@@ -109,7 +109,7 @@ impl SolverIter for SchweitzerIter {
         let nf = n as f64;
         let k_count = self.q.len();
         let z = self.net.think_time;
-        self.net.schedule.fill(n, self.x_prev, &mut self.demands);
+        self.net.fill(n, self.x_prev, &mut self.demands)?;
         for ((slot, kind), &d) in self
             .split
             .iter_mut()
@@ -329,5 +329,37 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// A schedule that turns hostile at step 3 gets a typed error there,
+    /// not a NaN or negative-demand answer.
+    #[test]
+    fn hostile_schedule_demand_is_rejected_at_step_3() {
+        use crate::mva::schedule::{ScheduledNetwork, TurnsHostile};
+        use std::sync::Arc;
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("cpu", 4, 1.0, 0.02),
+                Station::queueing("disk", 1, 1.0, 0.01),
+            ],
+            1.0,
+        )
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
+            let mut sched = ScheduledNetwork::from(&net);
+            sched.schedule = Arc::new(TurnsHostile {
+                base: net.demands(),
+                after: 2,
+                bad,
+            });
+            let mut it =
+                SchweitzerIter::with_schedule(sched, SchweitzerOptions::default()).unwrap();
+            it.drain(2).unwrap();
+            assert!(
+                matches!(it.step(), Err(QueueingError::InvalidParameter { .. })),
+                "{bad}"
+            );
+            assert_eq!(it.population(), 2, "{bad}");
+        }
     }
 }

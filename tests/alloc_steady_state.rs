@@ -69,6 +69,8 @@ fn workspace_steady_state_allocates_nothing() {
         ws.advance().unwrap();
     }
     let mut sink = 0.0f64;
+    let heavier: Vec<f64> = demands.iter().map(|d| d * 1.05).collect();
+    let no_cpu = [0.0, demands[1], demands[2]];
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..900 {
@@ -79,6 +81,12 @@ fn workspace_steady_state_allocates_nothing() {
     // allocation-free: they extend or re-read the carried columns.
     ws.solve_at(1550, &demands).unwrap();
     ws.solve_at(800, &demands).unwrap();
+    sink += ws.throughput();
+    // Demand changes (the quasi-static MVASD shape) rebuild in place: the
+    // re-planned cells reuse the buffers sized at construction.
+    ws.solve_at(1500, &heavier).unwrap();
+    ws.solve_at(700, &no_cpu).unwrap();
+    ws.solve_at(1200, &demands).unwrap();
     sink += ws.throughput();
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
